@@ -7,7 +7,7 @@ from .lindblad import (GKSLGenerator, Superoperator, apply_generator,
                        build_generator, evolve_continuous, steady_state_kernel,
                        steady_state_of, vectorize)
 from .linalg import (clamp_to_density, exp_minus_i, herm_eig, kron,
-                     matrix_functional, partial_trace, trace_distance)
+                     partial_trace, trace_distance)
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,
                     bloch_state, build_interaction, collision_unitary,
                     coupling_to_ssc, diagonal_coupling, gibbs_state,

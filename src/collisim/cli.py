@@ -27,8 +27,8 @@ from .engine import (CollisionConfig, NoSteadyStateError, propagate_collisions,
                      run, steady_state_by_iteration)
 from .lindblad import steady_state_of
 from .linalg import NotAStateError, trace_distance
-from .model import (FIG3_THETA, AncillaPrep, QubitHamiltonian, diagonal_coupling,
-                    pure_state, ssc_coupling)
+from .model import (FIG3_THETA, AncillaPrep, QubitHamiltonian, SscAngles,
+                    diagonal_coupling, pure_state, ssc_to_coupling)
 from .observables import SteadyStateReport, ergotropy, l1_coherence
 from .thermo import current_evaluators
 
@@ -54,7 +54,12 @@ ERGO_GAMMAS = tuple(-math.pi / 2 + k * math.pi / 32 for k in range(33))
 
 
 def fmt(x) -> str:
-    """Frozen float format: 17 significant digits, scientific notation."""
+    """Frozen float format: 17 significant digits, scientific notation.
+
+    Integers are written as integers and strings (state names) as they are.
+    """
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     return f"{float(x):.16e}"
@@ -75,46 +80,41 @@ def write_table(path: str, columns: list[str], rows: list[list], out_format: str
             fh.write("\n")
 
 
-def _safe_beta_eff(rho: np.ndarray, omega_s: float) -> float:
-    """Per-row population log-ratio; nan for a degenerate Hamiltonian."""
+def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
+    """Per-row population log-ratio ln(p_g/p_e)/omega_s of a stack of states.
+
+    +inf where p_e vanishes, -inf where p_g does, nan for omega_s = 0.
+    """
+    p_e, p_g = rhos[:, 0, 0].real, rhos[:, 1, 1].real
     if omega_s == 0:
-        return math.nan
-    p_e, p_g = rho[0, 0].real, rho[1, 1].real
-    if p_e <= 0:
-        return math.inf
-    if p_g <= 0:
-        return -math.inf
-    return math.log(p_g / p_e) / omega_s
+        return np.full(len(rhos), math.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(p_g / p_e) / omega_s
+    return np.where(p_e <= 0, math.inf, np.where(p_g <= 0, -math.inf, out))
 
 
-def trajectory_rows(cfg: RunConfig) -> list[list]:
+def trajectory_rows(cfg: CollisionConfig) -> list[list]:
     """One row per recorded state, in the frozen RUN_COLUMNS order."""
-    traj = run(cfg.collision_config())
-    led = traj.ledger
-    h_s = cfg.hs().matrix()
-    currents = current_evaluators(cfg.coupling, cfg.hs(), cfg.ancilla())
+    traj = run(cfg)
+    rhos = traj.states
     dt = cfg.coupling.dt
-    cum_w = cum_q = cum_sigma = 0.0
-    rows = []
-    for i, rho in enumerate(traj.states):
-        if i == 0:
-            w = q = de_s = ds = sigma = 0.0
-        else:
-            w, q = led.w[i - 1], led.q[i - 1]
-            de_s, ds, sigma = led.de_s[i - 1], led.ds[i - 1], led.sigma[i - 1]
-            cum_w += w
-            cum_q += q
-            cum_sigma += sigma
-        cur_w, cur_q = currents(rho)
-        rows.append([
-            i, i * dt,
-            rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag,
-            _safe_beta_eff(rho, cfg.omega_s), l1_coherence(rho), ergotropy(rho, h_s),
-            w, q, de_s, ds, sigma,
-            cum_w, cum_q, cum_sigma,
-            w / dt, q / dt, sigma / dt,
-            cur_w, cur_q,
-        ])
+    cur_w, cur_q = current_evaluators(cfg.coupling, cfg.hs, cfg.ancilla)(rhos)
+    # the ledger entry of the collision ending at each row; zeros on row 0
+    w, q, de_s, ds, sigma = (np.concatenate(([0.0], getattr(traj.ledger, key)))
+                             for key in ("w", "q", "de_s", "ds", "sigma"))
+    columns = [
+        np.arange(len(rhos)) * dt,
+        rhos[:, 0, 0].real, rhos[:, 1, 1].real, rhos[:, 0, 1].real, rhos[:, 0, 1].imag,
+        _safe_beta_eff(rhos, cfg.hs.omega), l1_coherence(rhos),
+        ergotropy(rhos, cfg.hs.matrix()),
+        w, q, de_s, ds, sigma,
+        np.cumsum(w), np.cumsum(q), np.cumsum(sigma),
+        w / dt, q / dt, sigma / dt,
+        cur_w, cur_q,
+    ]
+    rows = np.column_stack(columns).tolist()
+    for i, row in enumerate(rows):
+        row.insert(0, i)
     return rows
 
 
@@ -138,7 +138,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
     """Write the trajectory table; returns the file path."""
     fmt_ = out_format or cfg.out_format
-    rows = _select_columns(trajectory_rows(cfg), cfg.quantities)
+    rows = _select_columns(trajectory_rows(cfg.collision_config()), cfg.quantities)
     path = _out_path(out_dir, cfg.out_path)
     write_table(path, list(cfg.quantities), rows, fmt_)
     return path
@@ -187,7 +187,7 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
 
 def _evaluate_sweep_point(doc: dict) -> list[list]:
     """Worker: full trajectory rows of one sweep point."""
-    return trajectory_rows(parse_run_config(doc))
+    return trajectory_rows(parse_run_config(doc).collision_config())
 
 
 def cmd_sweep(sweep: SweepConfig, parallel: int | None, out_dir: str,
@@ -250,25 +250,10 @@ def _get_path(doc: dict, path: str):
     return node
 
 
-def _fig_run_config(coupling, beta: float, rho0: np.ndarray,
-                    omega_s: float = 1.0, omega_a: float = 1.0) -> CollisionConfig:
+def _fig_run_config(coupling, beta: float, rho0: np.ndarray) -> CollisionConfig:
     return CollisionConfig(
-        hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
+        hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=beta, omega_a=1.0),
         coupling=coupling, n_collisions=FIG_N, rho0=rho0)
-
-
-def _fig_trajectory_rows(coupling, beta: float) -> list[list]:
-    doc = {
-        "model": {"omega_s": 1.0, "omega_a": 1.0, "beta": beta},
-        "coupling": {"j": {}, "dt": coupling.dt, "scaling": coupling.scaling},
-        "run": {"n_collisions": FIG_N, "rho0": "fig3"},
-    }
-    labels = ("x", "y", "z")
-    for l in range(3):
-        for m in range(3):
-            if coupling.j[l, m] != 0.0:
-                doc["coupling"]["j"][labels[l] + labels[m]] = float(coupling.j[l, m])
-    return trajectory_rows(parse_run_config(doc))
 
 
 def cmd_fig3(out_dir: str) -> list[str]:
@@ -286,20 +271,14 @@ def cmd_fig3(out_dir: str) -> list[str]:
     write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], rows, "csv")
     paths.append(path)
 
+    rho0 = pure_state(FIG3_THETA)
     for ratio in FIG3_RATIOS:
-        rows = _fig_trajectory_rows(diagonal_coupling(1.0, ratio, FIG_DT), beta=1.0)
+        coupling = diagonal_coupling(1.0, ratio, FIG_DT)
+        rows = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
         path = _out_path(out_dir, f"fig3_traj_ratio_{ratio:+.2f}.csv")
         write_table(path, list(RUN_COLUMNS), rows, "csv")
         paths.append(path)
     return paths
-
-
-def _fig5_coupling(alpha: float):
-    """Constant-magnitude angle family anchored at J_x = 2 J_y = 1."""
-    j_x = FIG5_MAGNITUDE * math.cos(alpha) * math.cos(FIG5_GAMMA)
-    j_y = FIG5_MAGNITUDE * math.cos(alpha) * math.sin(FIG5_GAMMA)
-    j_zy = FIG5_MAGNITUDE * math.sin(alpha)
-    return ssc_coupling(j_x, j_y, j_zy, FIG_DT)
 
 
 def cmd_fig5(out_dir: str) -> list[str]:
@@ -309,7 +288,8 @@ def cmd_fig5(out_dir: str) -> list[str]:
     rows = []
     for beta in FIG3_BETAS:
         for alpha in FIG5_ALPHAS:
-            cfg = _fig_run_config(_fig5_coupling(alpha), beta, rho0)
+            coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
+            cfg = _fig_run_config(coupling, beta, rho0)
             rows.append([beta, alpha, l1_coherence(propagate_collisions(cfg, FIG_N))])
     path = _out_path(out_dir, "fig5a_coherence.csv")
     write_table(path, ["beta", "alpha", "coherence_l1"], rows, "csv")
@@ -317,18 +297,12 @@ def cmd_fig5(out_dir: str) -> list[str]:
 
     labels = ("0", "pi8", "pi4", "3pi8")
     for alpha, label in zip(FIG5_PANEL_ALPHAS, labels):
-        rows = _fig_trajectory_rows(_fig5_coupling(alpha), beta=1.0)
+        coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
+        rows = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
         path = _out_path(out_dir, f"fig5_traj_alpha_{label}.csv")
         write_table(path, list(RUN_COLUMNS), rows, "csv")
         paths.append(path)
     return paths
-
-
-def _ergo_coupling(alpha: float, gamma: float):
-    j_x = ERGO_MAGNITUDE * math.cos(alpha) * math.cos(gamma)
-    j_y = ERGO_MAGNITUDE * math.cos(alpha) * math.sin(gamma)
-    j_zy = ERGO_MAGNITUDE * math.sin(alpha)
-    return ssc_coupling(j_x, j_y, j_zy, FIG_DT)
 
 
 def cmd_ergotropy_surface(out_dir: str) -> list[str]:
@@ -340,33 +314,31 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     for name, rho0 in states.items():
         for alpha in ERGO_ALPHAS:
             for gamma in ERGO_GAMMAS:
-                cfg = _fig_run_config(_ergo_coupling(alpha, gamma), 1.0, rho0)
+                coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
+                cfg = _fig_run_config(coupling, 1.0, rho0)
                 rows.append([alpha, gamma, name,
                              ergotropy(propagate_collisions(cfg, FIG_N), h_s)])
     path = _out_path(out_dir, "ergotropy_surface.csv")
-    _write_mixed_table(path, ["alpha", "gamma", "rho0", "ergotropy"], rows)
+    write_table(path, ["alpha", "gamma", "rho0", "ergotropy"], rows, "csv")
     paths = [path]
 
     rows = []
     for beta in FIG3_BETAS:
         for name, rho0 in states.items():
             for alpha in ERGO_ALPHAS:
-                cfg = _fig_run_config(_ergo_coupling(alpha, 0.0), beta, rho0)
+                coupling = ssc_to_coupling(SscAngles(alpha, 0.0, ERGO_MAGNITUDE), FIG_DT)
+                cfg = _fig_run_config(coupling, beta, rho0)
                 rows.append([beta, alpha, name,
                              ergotropy(propagate_collisions(cfg, FIG_N), h_s)])
     path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
-    _write_mixed_table(path, ["beta", "alpha", "rho0", "ergotropy"], rows)
+    write_table(path, ["beta", "alpha", "rho0", "ergotropy"], rows, "csv")
     paths.append(path)
     return paths
 
 
-def _write_mixed_table(path: str, columns: list[str], rows: list[list]) -> None:
-    """CSV writer tolerating string-valued cells (e.g. state names)."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# String cells go through write_table; the old name stays bound because the
+# benchmark's tracing spans (perfbench/spans.py) wrap it by name.
+_write_mixed_table = write_table
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,7 @@ Grammar (JSON object, all sections required unless noted):
                    "rho0": "fig3",                      # named state,
                                                         # {"bloch": [x,y,z]}
                                                         # or {"theta": t, "phi": p}
-                   "convergence_tol": 1e-10,            # optional
-                   "record_joint": false},              # optional
+                   "convergence_tol": 1e-10},           # optional
       "output":   {"path": "run.csv", "format": "csv",  # csv | json
                    "quantities": ["n", "t", ...]}       # optional subset
     }
@@ -88,7 +87,6 @@ class RunConfig:
     n_collisions: int
     rho0: np.ndarray
     convergence_tol: float
-    record_joint: bool
     out_path: str
     out_format: str
     quantities: tuple[str, ...]
@@ -104,7 +102,7 @@ class RunConfig:
         return CollisionConfig(
             hs=self.hs(), ancilla=self.ancilla(), coupling=self.coupling,
             n_collisions=self.n_collisions, rho0=self.rho0,
-            record_joint=self.record_joint, convergence_tol=self.convergence_tol)
+            convergence_tol=self.convergence_tol)
 
     def serialize(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True)
@@ -191,7 +189,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     rn = doc["run"]
     if not isinstance(rn, dict):
         raise ConfigError("run: expected an object")
-    _require_keys(rn, {"n_collisions", "rho0", "convergence_tol", "record_joint"},
+    _require_keys(rn, {"n_collisions", "rho0", "convergence_tol"},
                   {"n_collisions", "rho0"}, "run")
     n_collisions = rn["n_collisions"]
     if not isinstance(n_collisions, int) or isinstance(n_collisions, bool) or n_collisions < 1:
@@ -200,9 +198,6 @@ def parse_run_config(doc: dict) -> RunConfig:
     tol = _number(rn.get("convergence_tol", 1e-10), "run.convergence_tol")
     if tol <= 0:
         raise ConfigError("run.convergence_tol: must be positive")
-    record_joint = rn.get("record_joint", False)
-    if not isinstance(record_joint, bool):
-        raise ConfigError("run.record_joint: expected true or false")
 
     out = doc.get("output", {})
     if not isinstance(out, dict):
@@ -222,7 +217,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     return RunConfig(
         omega_s=omega_s, omega_a=omega_a, beta=beta, coupling=coupling,
         n_collisions=n_collisions, rho0=rho0, convergence_tol=tol,
-        record_joint=record_joint, out_path=out_path, out_format=out_format,
+        out_path=out_path, out_format=out_format,
         quantities=quantities, raw=doc)
 
 
@@ -304,6 +299,10 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
                 raise ConfigError(f"{path}.steps: expected a positive integer")
             values = tuple(np.linspace(_number(ax["start"], f"{path}.start"),
                                        _number(ax["stop"], f"{path}.stop"), steps).tolist())
+        # a bad path (a typo, or a key the base cannot take) is a config error
+        probe = json.loads(json.dumps(base))
+        _set_path(probe, ax["path"], values[0])
+        parse_run_config(probe)
         axes.append(SweepAxis(path=ax["path"], values=values))
     parallel = doc.get("parallel", 1)
     if not isinstance(parallel, int) or parallel < 1:

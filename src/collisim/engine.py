@@ -1,14 +1,15 @@
 """Repeated-interaction dynamics: fresh thermal ancilla, joint unitary, trace.
 
-A single trajectory is strictly sequential; distinct configurations are
-independent and safe to run concurrently (all inputs are immutable and the
-engine keeps no global state).
+Every collision applies the same linear map Phi to the qubit state; a
+trajectory is the stack of its iterates, and the ledger is evaluated on that
+stack. Distinct configurations are independent and safe to run concurrently
+(all inputs are immutable and the engine keeps no global state).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,8 @@ from .linalg import (clamp_to_density, check_density, dagger, kron,
                      matrices_close, partial_trace, trace_distance, vec, unvec)
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                     build_interaction, collision_unitary)
-from .thermo import ThermoLedger, entropy
+from .thermo import (ThermoLedger, expectation, heat_operator, spectral_entropy,
+                     work_operator)
 
 
 class NoSteadyStateError(RuntimeError):
@@ -41,7 +43,6 @@ class CollisionConfig:
     coupling: CouplingSpec
     n_collisions: int
     rho0: np.ndarray
-    record_joint: bool = False
     convergence_tol: float = 1e-10
 
     def __post_init__(self):
@@ -59,12 +60,14 @@ class CollisionConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded states rho_S(0), rho_S(dt), ... plus the thermodynamic ledger."""
+    """Recorded states rho_S(0), rho_S(dt), ... plus the thermodynamic ledger.
+
+    states is an (n + 1, 2, 2) stack.
+    """
 
     dt: float
-    states: list[np.ndarray]
+    states: np.ndarray
     ledger: ThermoLedger
-    joints: list[np.ndarray] = field(default_factory=list)
     converged_at: Optional[int] = None
 
     @property
@@ -78,7 +81,10 @@ class Trajectory:
 
 def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla."""
+    """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla.
+
+    The single-collision reference that the map Phi reproduces.
+    """
     if not matrices_close(dagger(u) @ u, np.eye(u.shape[0]), 1e-10):
         raise ValueError("invalid propagator: u is not unitary within 1e-10")
     joint_after = u @ kron(rho_s, rho_a) @ dagger(u)
@@ -87,74 +93,52 @@ def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
 
 
 def run(config: CollisionConfig, early_stop: bool = False) -> Trajectory:
-    """Run the collision loop, filling a Trajectory with states and ledger.
+    """Propagate rho0 through n_collisions applications of Phi, with the ledger.
 
-    Deterministic: identical configs give identical output. With early_stop
-    the loop ends at the first collision whose per-unit-time update falls
-    below convergence_tol; converged_at records that index either way.
+    The states are checked once, as a stack, and never repaired: any
+    eigenvalue below -PSD_TOL, trace error or Hermiticity error raises
+    NotAStateError. Deterministic: identical configs give identical output.
+    converged_at is the first collision whose per-unit-time update falls
+    below convergence_tol; with early_stop the trajectory ends there.
     """
     dt = config.coupling.dt
-    u = config.unitary()
-    udag = dagger(u)
-    rho_a = config.ancilla.state()
-    h_s = config.hs.matrix()
-    h_a = config.ancilla.hamiltonian().matrix()
-    hsa = build_interaction(config.coupling)
-    # the collision operators are identical every step; precompute the
-    # Heisenberg-picture increments feeding the ledger
-    m_work = hsa - udag @ hsa @ u
-    ha_full = kron(np.eye(2, dtype=complex), h_a)
-    m_heat = udag @ ha_full @ u - ha_full
-
-    ledger = ThermoLedger(dt=dt, beta=config.ancilla.beta)
-    rho = config.rho0.astype(complex)
-    states = [rho]
-    joints: list[np.ndarray] = []
-    converged_at: Optional[int] = None
-    s_prev = entropy(rho)
-    e_prev = float(np.trace(h_s @ rho).real)
-
+    phi = collision_map_superoperator(config)
+    vecs = np.empty((config.n_collisions + 1, 4), dtype=complex)
+    vecs[0] = vec(config.rho0.astype(complex))
     for n in range(config.n_collisions):
-        joint = kron(rho, rho_a)
-        joint_after = u @ joint @ udag
-        rho_next = clamp_to_density(partial_trace(joint_after, (2, 2), "S"))
+        vecs[n + 1] = phi @ vecs[n]
+    states = unvec(vecs)
 
-        w = float(np.trace(m_work @ joint).real)
-        q = float(np.trace(m_heat @ joint).real)
-        s_next = entropy(rho_next)
-        e_next = float(np.trace(h_s @ rho_next).real)
-        ledger.record(w=w, q=q, de_s=e_next - e_prev, ds=s_next - s_prev)
+    below = np.flatnonzero(trace_distance(states[1:], states[:-1])
+                           < config.convergence_tol * dt)
+    converged_at = int(below[0]) + 1 if below.size else None
+    if early_stop and converged_at is not None:
+        states = states[:converged_at + 1]
 
-        states.append(rho_next)
-        if config.record_joint:
-            joints.append(joint_after)
-        if converged_at is None and trace_distance(rho_next, rho) < config.convergence_tol * dt:
-            converged_at = n + 1
-            if early_stop:
-                break
-        rho, s_prev, e_prev = rho_next, s_next, e_next
-
-    return Trajectory(dt=dt, states=states, ledger=ledger, joints=joints,
-                      converged_at=converged_at)
+    entropies = spectral_entropy(check_density(states, "trajectory state"))
+    energies = expectation(config.hs.matrix(), states)
+    u = config.unitary()
+    rho_a = config.ancilla.state()
+    before = states[:-1]
+    ledger = ThermoLedger(dt=dt, beta=config.ancilla.beta)
+    ledger.record(
+        w=expectation(work_operator(u, build_interaction(config.coupling), rho_a), before),
+        q=expectation(heat_operator(u, config.ancilla.hamiltonian().matrix(), rho_a), before),
+        de_s=np.diff(energies), ds=np.diff(entropies))
+    return Trajectory(dt=dt, states=states, ledger=ledger, converged_at=converged_at)
 
 
 def collision_map_superoperator(config: CollisionConfig) -> np.ndarray:
     """4x4 matrix of one collision acting on the column-stacked system state.
 
     The collision map is linear and identical at every step, so n collisions
-    are the n-th matrix power. Exactly the map applied by `run`.
+    are the n-th matrix power. It is the map that `run` applies.
     """
-    u = config.unitary()
-    udag = dagger(u)
+    u = config.unitary().reshape(2, 2, 2, 2)
     rho_a = config.ancilla.state()
-    phi = np.zeros((4, 4), dtype=complex)
-    for col in range(2):
-        for row in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[row, col] = 1.0
-            out = partial_trace(u @ kron(e, rho_a) @ udag, (2, 2), "S")
-            phi[:, row + 2 * col] = vec(out)
-    return phi
+    # out[i, j] = sum U[i,a,k,b] rho[k,l] rho_a[b,c] conj(U[j,a,l,c])
+    phi = np.einsum("iakb,bc,jalc->jilk", u, rho_a, u.conj())
+    return phi.reshape(4, 4)
 
 
 def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:

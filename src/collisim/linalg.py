@@ -1,6 +1,7 @@
 """Dense complex-matrix primitives for small (2x2 / 4x4) operators.
 
-All operators are plain complex numpy arrays in row-major storage. States
+All operators are plain complex numpy arrays in row-major storage; the
+helpers that take states also take stacks (..., d, d) of them. States
 (density matrices) are Hermitian, unit-trace, positive-semidefinite up to a
 small numerical slack; the helpers here validate and repair them.
 """
@@ -8,7 +9,6 @@ small numerical slack; the helpers here validate and repair them.
 from __future__ import annotations
 
 import logging
-from typing import Callable
 
 import numpy as np
 
@@ -25,23 +25,18 @@ class NotAStateError(ValueError):
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^dag)/2."""
-    return (a + a.conj().T) / 2
+    return (a + dagger(a)) / 2
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def assert_hermitian(a: np.ndarray, tol: float = HERM_TOL, what: str = "matrix") -> np.ndarray:
-    if not is_hermitian(a, tol):
-        raise ValueError(f"{what} is not Hermitian within {tol:g}")
-    return a
+def per_state(x):
+    """A result over one state as a float, over a stack as an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
@@ -95,28 +90,21 @@ def exp_minus_i(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def matrix_functional(rho: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum of f over the eigenvalues of a state, i.e. Tr f(rho).
-
-    f must be vectorized over a real eigenvalue array and must resolve its
-    own indeterminate points (e.g. x*log(x) -> 0 at x=0).
-    """
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if w.min() < -PSD_TOL:
-        raise NotAStateError(f"not a state: eigenvalue {w.min():.3e} < -{PSD_TOL:g}")
-    return float(np.sum(f(np.clip(w, 0.0, None))))
-
-
 def check_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
-    """Validate the density-matrix invariants; returns rho unchanged."""
-    assert_hermitian(rho, HERM_TOL, what)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotAStateError(f"{what}: trace {tr} deviates from 1 beyond {TRACE_TOL:g}")
+    """Validate the density-matrix invariants of a state or a stack of them.
+
+    Checks without repairing; returns the eigenvalues (ascending, per state).
+    """
+    if np.max(np.abs(rho - dagger(rho))) > HERM_TOL:
+        raise NotAStateError(f"{what} is not Hermitian within {HERM_TOL:g}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    worst = np.max(np.abs(tr - 1.0))
+    if worst > TRACE_TOL:
+        raise NotAStateError(f"{what}: trace deviates from 1 by {worst:.3e}, beyond {TRACE_TOL:g}")
     w = np.linalg.eigvalsh(hermitize(rho))
     if w.min() < -PSD_TOL:
         raise NotAStateError(f"{what}: eigenvalue {w.min():.3e} below -{PSD_TOL:g}")
-    return rho
+    return w
 
 
 def clamp_to_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
@@ -143,27 +131,14 @@ def clamp_to_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) ||rho - sigma||_1 via the eigenvalues of the difference."""
     w = np.linalg.eigvalsh(hermitize(rho - sigma))
-    return 0.5 * float(np.sum(np.abs(w)))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with entries of order `scale`."""
-    a = rng.uniform(-scale, scale, (dim, dim)) + 1j * rng.uniform(-scale, scale, (dim, dim))
-    return hermitize(a)
-
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix (Hilbert-Schmidt-like measure)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+    return per_state(0.5 * np.sum(np.abs(w), axis=-1))
 
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A rho B) = (B^T kron A) vec(rho)."""
-    return m.flatten(order="F")
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.size)))
-    return v.reshape(d, d, order="F")
+    d = int(round(np.sqrt(v.shape[-1])))
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)

@@ -98,14 +98,6 @@ class CouplingSpec:
     def with_dt(self, dt: float) -> "CouplingSpec":
         return CouplingSpec(self.j.copy(), dt, self.scaling)
 
-    def zero_odd_moments(self) -> bool:
-        """True when every ancilla factor has zero thermal average.
-
-        Holds exactly when the sigma_z ancilla column vanishes (no J_lz
-        entries); the three named interaction families all satisfy it.
-        """
-        return bool(np.all(self.j[:, 2] == 0.0))
-
 
 def diagonal_coupling(j_x: float, j_y: float, dt: float, scaling: str = "sqrt_dt") -> CouplingSpec:
     """J_x sigma_x sigma_x + J_y sigma_y sigma_y family."""
@@ -127,8 +119,9 @@ class SscAngles:
     """Angle parameterization of the coherence-generating coupling.
 
     J_x = m cos(alpha) cos(gamma), J_y = m cos(alpha) sin(gamma),
-    J_zy = m sin(alpha); alpha in [0, pi/2) measures the weight of the
-    dephasing (parallel) term against the diagonal (perpendicular) one.
+    J_zy = m sin(alpha); alpha in [0, pi/2] measures the weight of the
+    dephasing (parallel) term against the diagonal (perpendicular) one, up
+    to the pure sigma_z sigma_y member at alpha = pi/2.
     """
 
     alpha: float
@@ -136,8 +129,8 @@ class SscAngles:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.pi / 2:
-            raise ValueError("alpha must lie in [0, pi/2)")
+        if not 0 <= self.alpha <= np.pi / 2:
+            raise ValueError("alpha must lie in [0, pi/2]")
         if not -np.pi <= self.gamma <= np.pi:
             raise ValueError("gamma must lie in [-pi, pi]")
 

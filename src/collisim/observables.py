@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import hermitize, per_state
 from .model import QubitHamiltonian
 
 # A population-only effective temperature is misleading for a coherent state;
@@ -35,14 +35,9 @@ def effective_beta(rho: np.ndarray, omega_s: float) -> float:
 
 def l1_coherence(rho: np.ndarray) -> float:
     """Sum of |off-diagonal| entries in the energy (computational) basis."""
-    return float(np.sum(np.abs(rho)) - np.sum(np.abs(np.diag(rho))))
-
-
-def passive_state(rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Passive counterpart: rho-eigenvalues descending on energies ascending."""
-    pops = np.sort(np.linalg.eigvalsh(hermitize(rho)))[::-1]
-    ew, ev = np.linalg.eigh(hermitize(h))
-    return (ev * pops) @ ev.conj().T
+    mag = np.abs(rho)
+    return per_state(np.sum(mag, axis=(-2, -1))
+                     - np.sum(np.diagonal(mag, axis1=-2, axis2=-1), axis=-1))
 
 
 def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
@@ -50,15 +45,16 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
 
     The passive pairing (largest population on the lowest energy) settles
     the index convention; values in [-1e-12, 0) from round-off clamp to 0.
+    Takes one state or a stack of them.
     """
-    pops = np.sort(np.linalg.eigvalsh(hermitize(rho)))[::-1]
-    energies = np.sort(np.linalg.eigvalsh(hermitize(h)))
-    e_now = float(np.trace(hermitize(rho) @ h).real)
-    e_passive = float(np.dot(pops, energies))
-    out = e_now - e_passive
-    if out < -1e-12:
-        raise ValueError(f"ergotropy {out:.3e} below round-off floor; invalid inputs")
-    return max(out, 0.0)
+    rho = hermitize(rho)
+    pops = np.linalg.eigvalsh(rho)[..., ::-1]
+    energies = np.linalg.eigvalsh(hermitize(h))
+    e_now = np.einsum("...ij,ji->...", rho, h).real
+    out = e_now - pops @ energies
+    if np.min(out) < -1e-12:
+        raise ValueError(f"ergotropy {np.min(out):.3e} below round-off floor; invalid inputs")
+    return per_state(np.maximum(out, 0.0))
 
 
 def is_passive(rho: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> bool:

@@ -10,6 +10,9 @@ Sign conventions (fixed once, used everywhere):
   * dS = S(after) - S(before); entropy production Sigma = dS + beta * Q,
     equal to the relative entropy between the post-collision joint state and
     the product of its system marginal with a fresh thermal ancilla.
+  * Every collision quantity is Tr[M (rho_S (x) rho_A)] for a fixed joint
+    operator M, so it is Tr[K rho_S] for the one-body K = Tr_A[M (I (x) rho_A)]
+    and evaluates over a whole stack of states at once.
 
 All entropies are in nats.
 """
@@ -21,15 +24,34 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, hermitize, kron, partial_trace
+from .linalg import dagger, hermitize, kron, partial_trace, per_state
 from .model import I2, AncillaPrep, CouplingSpec, QubitHamiltonian, build_interaction, gibbs_state
 
 
+# At beta = +-inf a heat below this is round-off and counts as zero.
+INF_BETA_HEAT_TOL = 1e-14
+
+
+def spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the last axis of an eigenvalue array; 0 ln 0 = 0."""
+    pos = w > 0
+    return -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
+
+
 def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -Tr[rho ln rho] in nats."""
-    w = np.linalg.eigvalsh(hermitize(rho))
-    w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
+    """Von Neumann entropy -Tr[rho ln rho] in nats, of a state or a stack."""
+    return per_state(spectral_entropy(np.linalg.eigvalsh(hermitize(rho))))
+
+
+def entropy_production(ds, q, beta: float):
+    """Sigma = dS + beta * Q, elementwise.
+
+    At beta = +-inf any real heat exchange makes beta * Q diverge: Sigma is
+    dS where |Q| <= INF_BETA_HEAT_TOL (round-off) and +inf elsewhere.
+    """
+    if math.isinf(beta):
+        return np.where(np.abs(q) <= INF_BETA_HEAT_TOL, ds, math.inf)
+    return ds + beta * q
 
 
 def _log_psd(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -62,21 +84,37 @@ def mutual_information(joint: np.ndarray, dims: tuple[int, int]) -> float:
     return entropy(rho_s) + entropy(rho_a) - entropy(joint)
 
 
+def reduced_operator(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """K = Tr_A[M (I (x) rho_a)], so that Tr[M (rho (x) rho_a)] = Tr[K rho]."""
+    return partial_trace(m @ kron(I2, rho_a), (2, 2), "S")
+
+
+def expectation(k: np.ndarray, rho: np.ndarray):
+    """Tr[K rho] for one state (a float) or a stack (an array)."""
+    return per_state(np.einsum("ij,...ji->...", k, rho).real)
+
+
+def work_operator(u: np.ndarray, h_sa: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """One-body operator of the switching work: decrease of the interaction energy."""
+    return reduced_operator(h_sa - dagger(u) @ h_sa @ u, rho_a)
+
+
+def heat_operator(u: np.ndarray, h_a: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
+    """One-body operator of the heat into the ancilla (h_a is 2x2)."""
+    ha_full = kron(I2, h_a)
+    return reduced_operator(dagger(u) @ ha_full @ u - ha_full, rho_a)
+
+
 def collision_work(u: np.ndarray, h_sa: np.ndarray, rho_s: np.ndarray,
                    rho_a: np.ndarray) -> float:
     """Switching work of one collision: decrease of the interaction energy."""
-    joint = kron(rho_s, rho_a)
-    m = h_sa - dagger(u) @ h_sa @ u
-    return float(np.trace(m @ joint).real)
+    return expectation(work_operator(u, h_sa, rho_a), rho_s)
 
 
 def collision_heat(u: np.ndarray, h_a: np.ndarray, rho_s: np.ndarray,
                    rho_a: np.ndarray) -> float:
     """Heat dissipated into the ancilla during one collision (h_a is 2x2)."""
-    joint = kron(rho_s, rho_a)
-    ha_full = kron(I2, h_a)
-    m = dagger(u) @ ha_full @ u - ha_full
-    return float(np.trace(m @ joint).real)
+    return expectation(heat_operator(u, h_a, rho_a), rho_s)
 
 
 def _current_kernel(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -85,45 +123,36 @@ def _current_kernel(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return v @ h @ v - 0.5 * (v2 @ h + h @ v2)
 
 
+def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
+                       ancilla: AncillaPrep):
+    """Continuous-limit (work, heat) currents as a function of the system state.
+
+    Returns f(rho_s) -> (w_dot, q_dot) for one state or a stack of them
+    (g0-level J units); the kernels are built once, as one-body operators.
+    """
+    v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
+    ha = kron(I2, ancilla.hamiltonian().matrix())
+    h0 = kron(hs.matrix(), I2) + ha
+    rho_th = ancilla.state()
+    k_w = reduced_operator(_current_kernel(v, h0), rho_th)
+    k_q = reduced_operator(_current_kernel(v, ha), rho_th)
+
+    def currents(rho_s: np.ndarray):
+        return expectation(k_w, rho_s), expectation(k_q, rho_s)
+
+    return currents
+
+
 def work_current(coupling: CouplingSpec, hs: QubitHamiltonian, ancilla: AncillaPrep,
                  rho_s: np.ndarray) -> float:
     """Continuous-limit work current at state rho_s (g0-level J units)."""
-    v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-    h0 = kron(hs.matrix(), I2) + kron(I2, ancilla.hamiltonian().matrix())
-    k = _current_kernel(v, h0)
-    joint = kron(rho_s, ancilla.state())
-    return float(np.trace(k @ joint).real)
+    return current_evaluators(coupling, hs, ancilla)(rho_s)[0]
 
 
 def heat_current(coupling: CouplingSpec, ancilla: AncillaPrep, rho_s: np.ndarray) -> float:
     """Continuous-limit heat current into the ancilla at state rho_s."""
-    v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-    ha = kron(I2, ancilla.hamiltonian().matrix())
-    k = _current_kernel(v, ha)
-    joint = kron(rho_s, ancilla.state())
-    return float(np.trace(k @ joint).real)
-
-
-def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
-                       ancilla: AncillaPrep):
-    """Precomputed (work, heat) current evaluator for repeated calls.
-
-    Returns f(rho_s) -> (w_dot, q_dot), identical to work_current and
-    heat_current but with the operator kernels built once.
-    """
-    v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-    h0 = kron(hs.matrix(), I2) + kron(I2, ancilla.hamiltonian().matrix())
-    ha = kron(I2, ancilla.hamiltonian().matrix())
-    k_w = _current_kernel(v, h0)
-    k_q = _current_kernel(v, ha)
-    rho_th = ancilla.state()
-
-    def currents(rho_s: np.ndarray) -> tuple[float, float]:
-        joint = kron(rho_s, rho_th)
-        return (float(np.trace(k_w @ joint).real),
-                float(np.trace(k_q @ joint).real))
-
-    return currents
+    # the heat kernel does not involve H_S
+    return current_evaluators(coupling, QubitHamiltonian(0.0), ancilla)(rho_s)[1]
 
 
 def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarray,
@@ -141,11 +170,9 @@ def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarr
     rho_a_after = partial_trace(joint_after, (2, 2), "A")
     ds = entropy(rho_s_after) - entropy(rho_s_before)
     q = float(np.trace(ancilla.hamiltonian().matrix() @ (rho_a_after - rho_th)).real)
+    sigma = float(entropy_production(ds, q, ancilla.beta))
     if math.isinf(ancilla.beta):
-        # beta*Q diverges for any real heat exchange; round-off-sized Q is 0
-        sigma = ds if abs(q) <= 1e-14 else math.inf
         return sigma, {"skipped": "infinite beta: relative entropy support mismatch"}
-    sigma = ds + ancilla.beta * q
     checks: dict = {}
     if check_identities:
         checks["joint_relative_entropy"] = relative_entropy(
@@ -190,12 +217,14 @@ class ThermoLedger:
     ds: list[float] = field(default_factory=list)
     sigma: list[float] = field(default_factory=list)
 
-    def record(self, w: float, q: float, de_s: float, ds: float) -> None:
-        self.w.append(w)
-        self.q.append(q)
-        self.de_s.append(de_s)
-        self.ds.append(ds)
-        self.sigma.append(ds + self.beta * q)
+    def record(self, w, q, de_s, ds) -> None:
+        """Append the entries of one collision, or of many as equal-length arrays."""
+        w, q, de_s, ds = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (w, q, de_s, ds))
+        self.w += w.tolist()
+        self.q += q.tolist()
+        self.de_s += de_s.tolist()
+        self.ds += ds.tolist()
+        self.sigma += entropy_production(ds, q, self.beta).tolist()
 
     @property
     def n(self) -> int:

@@ -1,8 +1,23 @@
 import time
 
+import numpy as np
 import pytest
 
 from collisim.cli import cmd_ergotropy_surface, cmd_fig3, cmd_fig5
+from collisim.linalg import hermitize
+
+
+def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Random Hermitian matrix with entries of order `scale`."""
+    a = rng.uniform(-scale, scale, (dim, dim)) + 1j * rng.uniform(-scale, scale, (dim, dim))
+    return hermitize(a)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random density matrix (Hilbert-Schmidt-like measure)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
 
 
 @pytest.fixture(scope="session")

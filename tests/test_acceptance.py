@@ -13,7 +13,7 @@ import numpy as np
 
 from collisim.engine import CollisionConfig, collide_once, run, steady_state_by_iteration
 from collisim.lindblad import steady_state_of
-from collisim.linalg import random_density, trace_distance
+from collisim.linalg import trace_distance
 from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
                             build_interaction, collision_unitary,
                             diagonal_coupling, gibbs_state, pure_state,
@@ -22,6 +22,8 @@ from collisim.observables import ergotropy
 from collisim.thermo import (collision_heat, collision_work,
                              entropy_production_collision, heat_current,
                              work_current)
+
+from conftest import random_density
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)

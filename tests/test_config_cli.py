@@ -301,3 +301,21 @@ def test_sweep_failed_point_recorded_exit_3(tmp_path):
     assert failures[0]["point"] == 1
     lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 6  # good point only: header + 5+1 states
+
+
+def test_sweep_axis_path_typo_is_config_error(tmp_path, capsys):
+    doc = sweep_doc([{"path": "model.bta", "values": [1.0, 2.0]}])
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", sweep_path, "--out", str(out)]) == 2
+    assert "config error: unknown key model.bta" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_record_joint_key_rejected(tmp_path):
+    doc = base_doc()
+    doc["run"]["record_joint"] = False
+    with pytest.raises(ConfigError, match=r"run\.record_joint"):
+        parse_run_config(doc)
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2

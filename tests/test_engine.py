@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.engine import (CollisionConfig, NoSteadyStateError, collide_once,
                              collision_map_superoperator, propagate_collisions,
                              run, steady_state_by_iteration)
-from collisim.linalg import kron, matrices_close, random_density, trace_distance
-from collisim.model import (I2, AncillaPrep, QubitHamiltonian, bloch_state,
-                            diagonal_coupling, gibbs_state, pure_state,
-                            ssc_coupling)
+from collisim.linalg import NotAStateError, kron, matrices_close, trace_distance
+from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                            bloch_state, build_interaction, diagonal_coupling,
+                            gibbs_state, pure_state, ssc_coupling)
+from collisim.thermo import collision_heat, collision_work, entropy
+
+from conftest import random_density
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -112,14 +119,6 @@ def test_run_records_valid_states_throughout():
         check_density(rho)
 
 
-def test_run_joint_recording():
-    cfg = _config(diagonal_coupling(1.0, 0.5, dt=0.05), n=5, record_joint=True)
-    traj = run(cfg)
-    assert len(traj.joints) == 5
-    for joint in traj.joints:
-        assert np.trace(joint).real == pytest.approx(1.0, abs=1e-12)
-
-
 def test_halving_dt_leaves_state_at_fixed_time_invariant():
     # scaling = sqrt_dt: rho(t) at t = 10 differs O(dt) between dt and dt/2
     base = ssc_coupling(1.0, 0.5, 0.3, dt=1.0)
@@ -199,3 +198,42 @@ def test_early_stop_truncates_states():
     assert traj.converged_at is not None
     assert len(traj.states) == traj.converged_at + 1
     assert len(traj.states) < 1001
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+       beta=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
+       dt=st.floats(1e-3, 0.3),
+       omegas=st.tuples(st.floats(-2.0, 2.0), st.floats(0.2, 2.0)),
+       bloch=st.tuples(*(st.floats(-1.0, 1.0),) * 3),
+       n=st.integers(1, 25))
+def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
+    # the map-driven trajectory against the joint-state oracle, collision by collision
+    r = np.array(bloch)
+    r = r / max(1.0, float(np.linalg.norm(r)))
+    cfg = _config(CouplingSpec(np.reshape(j, (3, 3)), dt=dt), beta=beta, n=n,
+                  rho0=bloch_state(*r), omega_s=omegas[0], omega_a=omegas[1])
+    traj = run(cfg)
+    u, rho_a = cfg.unitary(), cfg.ancilla.state()
+    h_sa, h_a, h_s = (build_interaction(cfg.coupling), cfg.ancilla.hamiltonian().matrix(),
+                      cfg.hs.matrix())
+    led = traj.ledger
+    rho = cfg.rho0
+    for k in range(n):
+        nxt, _ = collide_once(rho, rho_a, u)
+        assert matrices_close(traj.states[k + 1], nxt, 1e-12)
+        assert led.w[k] == pytest.approx(collision_work(u, h_sa, rho, rho_a), abs=1e-12)
+        assert led.q[k] == pytest.approx(collision_heat(u, h_a, rho, rho_a), abs=1e-12)
+        assert led.de_s[k] == pytest.approx(np.trace(h_s @ (nxt - rho)).real, abs=1e-12)
+        assert led.ds[k] == pytest.approx(entropy(nxt) - entropy(rho), abs=1e-12)
+        rho = nxt
+    assert np.max(np.abs(led.first_law_residuals())) <= 1e-12
+
+
+def test_run_rejects_a_map_that_leaves_the_state_space(monkeypatch):
+    # the states are checked once, over the whole stack, and never repaired
+    import collisim.engine as engine
+    leaky = np.diag([1.0, 1.0, 1.0, 1.001]).astype(complex)  # trace grows each step
+    monkeypatch.setattr(engine, "collision_map_superoperator", lambda config: leaky)
+    with pytest.raises(NotAStateError, match="trace"):
+        run(_config(diagonal_coupling(1.0, 1.0, dt=0.05), n=5))

@@ -3,9 +3,10 @@ import pytest
 
 from collisim.linalg import (NotAStateError, check_density, clamp_to_density,
                              exp_minus_i, herm_eig, kron, matrices_close,
-                             matrix_functional, partial_trace, random_density,
-                             random_hermitian, trace_distance, unvec, vec)
+                             partial_trace, trace_distance, unvec, vec)
 from collisim.model import I2, SIGMA_X, SIGMA_Z
+
+from conftest import random_density, random_hermitian
 
 I4 = np.eye(4, dtype=complex)
 
@@ -138,27 +139,6 @@ def test_exp_minus_i_unitary():
     for _ in range(100):
         u = exp_minus_i(random_hermitian(4, rng, scale=5.0), rng.uniform(0, 2))
         assert matrices_close(u.conj().T @ u, I4, 1e-10)
-
-
-def test_matrix_functional_trace():
-    assert matrix_functional(I2 / 2, lambda x: x) == pytest.approx(1.0)
-
-
-def test_matrix_functional_entropy_maximally_mixed():
-    f = lambda x: np.where(x > 0, -x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    assert matrix_functional(I2 / 2, f) == pytest.approx(np.log(2), abs=1e-12)
-
-
-def test_matrix_functional_pure_state_entropy():
-    f = lambda x: np.where(x > 0, -x * np.log(np.where(x > 0, x, 1.0)), 0.0)
-    pure = np.diag([1.0, 0.0]).astype(complex)
-    assert matrix_functional(pure, f) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_matrix_functional_rejects_negative():
-    bad = np.diag([1.1, -0.1]).astype(complex)
-    with pytest.raises(NotAStateError, match="not a state"):
-        matrix_functional(bad, lambda x: x)
 
 
 def test_check_density_rejects_trace():

@@ -5,11 +5,12 @@ from collisim.engine import CollisionConfig, run, steady_state_by_iteration
 from collisim.lindblad import (GKSLGenerator, apply_generator, build_generator,
                                evolve_continuous, steady_state_kernel,
                                steady_state_of, vectorize)
-from collisim.linalg import (kron, matrices_close, random_density,
-                             trace_distance, vec)
+from collisim.linalg import kron, matrices_close, trace_distance, vec
 from collisim.model import (I2, SIGMA_X, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, diagonal_coupling, gibbs_state,
                             pure_state, ssc_coupling)
+
+from conftest import random_density
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)

@@ -10,6 +10,8 @@ from collisim.model import (I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X,
                             pure_state, ssc_coupling, ssc_to_coupling,
                             total_hamiltonian)
 
+from conftest import random_density
+
 TANH_HALF = np.tanh(0.5)  # 0.46211715726...
 
 
@@ -86,7 +88,6 @@ def test_interaction_zero_thermal_odd_moment():
         j[:, 0] = rng.uniform(-2, 2, 3)
         j[:, 1] = rng.uniform(-2, 2, 3)
         spec = CouplingSpec(j, dt=1.0, scaling="none")
-        assert spec.zero_odd_moments()
         v = build_interaction(spec)
         first_moment = partial_trace(v @ kron(I2, rho_th), (2, 2), "S")
         assert np.max(np.abs(first_moment)) < 1e-12
@@ -125,6 +126,15 @@ def test_ssc_roundtrip():
         assert back.alpha == pytest.approx(angles.alpha, abs=1e-12)
         assert back.gamma == pytest.approx(angles.gamma, abs=1e-12)
         assert back.magnitude == pytest.approx(angles.magnitude, abs=1e-12)
+
+
+def test_ssc_roundtrip_pure_parallel_member():
+    # the pure sigma_z sigma_y coupling sits at alpha = pi/2, inside the range
+    spec = ssc_coupling(0.0, 0.0, 1.0, dt=0.05)
+    angles = coupling_to_ssc(spec)
+    assert angles.alpha == np.pi / 2
+    assert angles.magnitude == 1.0
+    assert matrices_close(ssc_to_coupling(angles, dt=0.05).j, spec.j, 1e-15)
 
 
 def test_collision_unitary_factorizes_without_interaction():
@@ -168,7 +178,6 @@ def test_collision_unitary_conserves_total_energy():
     hsa = build_interaction(spec)
     htot = total_hamiltonian(hs, ha, hsa)
     u = collision_unitary(hs, ha, hsa, spec.dt)
-    from collisim.linalg import random_density
     for _ in range(20):
         rho = random_density(4, rng)
         before = np.trace(htot @ rho).real

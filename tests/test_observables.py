@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from collisim.lindblad import steady_state_of
-from collisim.linalg import matrices_close
 from collisim.model import (I2, SIGMA_Z, AncillaPrep, QubitHamiltonian,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling)
 from collisim.observables import (effective_beta, ergotropy, is_passive,
-                                  l1_coherence, make_report, passive_state)
+                                  l1_coherence, make_report)
 
 HS = QubitHamiltonian(1.0)
 
@@ -140,12 +139,6 @@ def test_inverted_ness_is_active():
     rep = steady_state_of(diagonal_coupling(1.0, -0.5, dt=0.05), HS, anc)
     assert rep.beta_eff < 0
     assert not is_passive(rep.rho_star, HS.matrix())
-
-
-def test_passive_state_construction():
-    rho = np.diag([0.7, 0.3]).astype(complex)
-    p = passive_state(rho, HS.matrix())
-    assert matrices_close(p, np.diag([0.3, 0.7]), 1e-14)
 
 
 def test_report_suppresses_beta_eff_for_coherent_states():

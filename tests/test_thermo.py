@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from collisim.config import parse_run_config
 from collisim.engine import CollisionConfig, collide_once, run
-from collisim.linalg import kron, random_density
+from collisim.linalg import kron
 from collisim.model import (I2, SIGMA_Z, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, build_interaction,
                             collision_unitary, diagonal_coupling, gibbs_state,
@@ -12,6 +13,8 @@ from collisim.thermo import (collision_heat, collision_work, current_evaluators,
                              heat_current, mutual_information,
                              relative_entropy, weak_coupling_sigma_rate,
                              work_current)
+
+from conftest import random_density
 
 TANH_HALF = np.tanh(0.5)
 
@@ -290,6 +293,17 @@ def test_sigma_infinite_beta_skips_identity_checks():
     sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
     assert "skipped" in checks
     assert sigma == np.inf  # finite heat into a zero-temperature bath
+
+
+@pytest.mark.parametrize("beta, omega_s", [("-inf", 1.0), ("inf", 0.0), ("inf", 1.0)])
+def test_ledger_sigma_at_infinite_beta_is_never_nan_or_negative(beta, omega_s):
+    # beta * Q at beta = +-inf: round-off heat counts as zero, real heat gives +inf
+    doc = {"model": {"omega_s": omega_s, "omega_a": 1.0, "beta": beta},
+           "coupling": {"j": {"xx": 1.0, "yy": 1.0}, "dt": 0.05},
+           "run": {"n_collisions": 400, "rho0": "excited"}}
+    sigma = np.array(run(parse_run_config(doc).collision_config()).ledger.sigma)
+    assert not np.any(np.isnan(sigma))
+    assert np.min(sigma) >= -1e-12
 
 
 # ------------------------------------------------ steady-state current laws
