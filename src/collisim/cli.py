@@ -95,6 +95,15 @@ def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
 
 def trajectory_rows(cfg: CollisionConfig) -> list[list]:
     """One row per recorded state, in the frozen RUN_COLUMNS order."""
+    # the column arrays die with _trajectory_table, before the rows are built
+    rows = _trajectory_table(cfg).tolist()
+    for i, row in enumerate(rows):
+        row.insert(0, i)
+    return rows
+
+
+def _trajectory_table(cfg: CollisionConfig) -> np.ndarray:
+    """The float columns of trajectory_rows, one row per recorded state."""
     traj = run(cfg)
     rhos = traj.states
     dt = cfg.coupling.dt
@@ -112,10 +121,7 @@ def trajectory_rows(cfg: CollisionConfig) -> list[list]:
         w / dt, q / dt, sigma / dt,
         cur_w, cur_q,
     ]
-    rows = np.column_stack(columns).tolist()
-    for i, row in enumerate(rows):
-        row.insert(0, i)
-    return rows
+    return np.column_stack(columns)
 
 
 def _select_columns(rows: list[list], quantities: tuple[str, ...]) -> list[list]:
@@ -250,23 +256,25 @@ def _get_path(doc: dict, path: str):
     return node
 
 
-def _fig_run_config(coupling, beta: float, rho0: np.ndarray) -> CollisionConfig:
+def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
+    """Preset run; stacked coupling, beta or rho0 make it a grid of runs."""
     return CollisionConfig(
         hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=beta, omega_a=1.0),
         coupling=coupling, n_collisions=FIG_N, rho0=rho0)
 
 
+def _grid(*axes) -> list[np.ndarray]:
+    """Flattened cartesian grid with the first axis slowest (the row order)."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+
+
 def cmd_fig3(out_dir: str) -> list[str]:
     """Effective-temperature curve and the four transient-current tables."""
     paths = []
-    hs = QubitHamiltonian(1.0)
-    ratios = np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS)
-    rows = []
-    for beta in FIG3_BETAS:
-        ancilla = AncillaPrep(beta=beta, omega_a=1.0)
-        for ratio in ratios:
-            rep = steady_state_of(diagonal_coupling(1.0, float(ratio), FIG_DT), hs, ancilla)
-            rows.append([beta, float(ratio), rep.beta_eff, rep.beta_eff / beta])
+    beta, ratio = _grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
+    rep = steady_state_of(diagonal_coupling(1.0, ratio, FIG_DT), QubitHamiltonian(1.0),
+                          AncillaPrep(beta=beta, omega_a=1.0))
+    rows = np.column_stack([beta, ratio, rep.beta_eff, rep.beta_eff / beta]).tolist()
     path = _out_path(out_dir, "fig3a_beta_eff.csv")
     write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], rows, "csv")
     paths.append(path)
@@ -285,12 +293,10 @@ def cmd_fig5(out_dir: str) -> list[str]:
     """Steady-state coherence vs alpha, and transient currents at beta = 1."""
     paths = []
     rho0 = pure_state(FIG3_THETA)
-    rows = []
-    for beta in FIG3_BETAS:
-        for alpha in FIG5_ALPHAS:
-            coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
-            cfg = _fig_run_config(coupling, beta, rho0)
-            rows.append([beta, alpha, l1_coherence(propagate_collisions(cfg, FIG_N))])
+    beta, alpha = _grid(FIG3_BETAS, FIG5_ALPHAS)
+    coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
+    coherence = l1_coherence(propagate_collisions(_fig_run_config(coupling, beta, rho0), FIG_N))
+    rows = np.column_stack([beta, alpha, coherence]).tolist()
     path = _out_path(out_dir, "fig5a_coherence.csv")
     write_table(path, ["beta", "alpha", "coherence_l1"], rows, "csv")
     paths.append(path)
@@ -307,29 +313,26 @@ def cmd_fig5(out_dir: str) -> list[str]:
 
 def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     """Ergotropy of the collision-protocol steady state over (alpha, gamma)."""
-    hs = QubitHamiltonian(1.0)
-    h_s = hs.matrix()
-    states = {"ground": pure_state(math.pi / 2), "excited": pure_state(0.0)}
-    rows = []
-    for name, rho0 in states.items():
-        for alpha in ERGO_ALPHAS:
-            for gamma in ERGO_GAMMAS:
-                coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
-                cfg = _fig_run_config(coupling, 1.0, rho0)
-                rows.append([alpha, gamma, name,
-                             ergotropy(propagate_collisions(cfg, FIG_N), h_s)])
+    h_s = QubitHamiltonian(1.0).matrix()
+    names = ("ground", "excited")
+    # one initial state per leading index, broadcast against the coupling grid
+    rho0 = np.array([pure_state(math.pi / 2), pure_state(0.0)])[:, None]
+    alpha, gamma = _grid(ERGO_ALPHAS, ERGO_GAMMAS)
+    coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
+    ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), h_s)
+    rows = [[a, g, name, e] for name, per_name in zip(names, ergo.tolist())
+            for a, g, e in zip(alpha.tolist(), gamma.tolist(), per_name)]
     path = _out_path(out_dir, "ergotropy_surface.csv")
     write_table(path, ["alpha", "gamma", "rho0", "ergotropy"], rows, "csv")
     paths = [path]
 
-    rows = []
-    for beta in FIG3_BETAS:
-        for name, rho0 in states.items():
-            for alpha in ERGO_ALPHAS:
-                coupling = ssc_to_coupling(SscAngles(alpha, 0.0, ERGO_MAGNITUDE), FIG_DT)
-                cfg = _fig_run_config(coupling, beta, rho0)
-                rows.append([beta, alpha, name,
-                             ergotropy(propagate_collisions(cfg, FIG_N), h_s)])
+    # axes (beta, rho0, alpha), in the row order of the slice table
+    coupling = ssc_to_coupling(SscAngles(np.array(ERGO_ALPHAS), 0.0, ERGO_MAGNITUDE), FIG_DT)
+    cfg = _fig_run_config(coupling, np.array(FIG3_BETAS)[:, None, None], rho0)
+    ergo = ergotropy(propagate_collisions(cfg, FIG_N), h_s)
+    rows = [[beta, alpha, name, e] for beta, per_beta in zip(FIG3_BETAS, ergo.tolist())
+            for name, per_name in zip(names, per_beta)
+            for alpha, e in zip(ERGO_ALPHAS, per_name)]
     path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
     write_table(path, ["beta", "alpha", "rho0", "ergotropy"], rows, "csv")
     paths.append(path)

@@ -36,7 +36,11 @@ MAX_COLLISIONS = 10 ** 6
 
 @dataclass(frozen=True, eq=False)
 class CollisionConfig:
-    """Everything one repeated-interaction run needs."""
+    """Everything one repeated-interaction run needs.
+
+    coupling.j, ancilla.beta and rho0 may carry stack axes that broadcast
+    together: a grid of runs for `propagate_collisions` (`run` takes one).
+    """
 
     hs: QubitHamiltonian
     ancilla: AncillaPrep
@@ -48,7 +52,7 @@ class CollisionConfig:
     def __post_init__(self):
         if self.n_collisions < 1:
             raise ValueError("n_collisions must be >= 1")
-        if self.rho0.shape != (2, 2):
+        if self.rho0.shape[-2:] != (2, 2):
             raise ValueError("rho0 must be a 2x2 density matrix")
         check_density(self.rho0, "rho0")
 
@@ -102,7 +106,9 @@ def run(config: CollisionConfig, early_stop: bool = False) -> Trajectory:
     below convergence_tol; with early_stop the trajectory ends there.
     """
     dt = config.coupling.dt
-    phi = collision_map_superoperator(config)
+    u = config.unitary()
+    rho_a = config.ancilla.state()
+    phi = collision_map_superoperator(u, rho_a)
     vecs = np.empty((config.n_collisions + 1, 4), dtype=complex)
     vecs[0] = vec(config.rho0.astype(complex))
     for n in range(config.n_collisions):
@@ -117,8 +123,6 @@ def run(config: CollisionConfig, early_stop: bool = False) -> Trajectory:
 
     entropies = spectral_entropy(check_density(states, "trajectory state"))
     energies = expectation(config.hs.matrix(), states)
-    u = config.unitary()
-    rho_a = config.ancilla.state()
     before = states[:-1]
     ledger = ThermoLedger(dt=dt, beta=config.ancilla.beta)
     ledger.record(
@@ -128,29 +132,29 @@ def run(config: CollisionConfig, early_stop: bool = False) -> Trajectory:
     return Trajectory(dt=dt, states=states, ledger=ledger, converged_at=converged_at)
 
 
-def collision_map_superoperator(config: CollisionConfig) -> np.ndarray:
+def collision_map_superoperator(u: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
     """4x4 matrix of one collision acting on the column-stacked system state.
 
-    The collision map is linear and identical at every step, so n collisions
-    are the n-th matrix power. It is the map that `run` applies.
+    Built from the joint unitary u and the ancilla state rho_a, or stacks of
+    them. The map is linear and identical at every step, so n collisions are
+    the n-th matrix power. It is the map that `run` applies.
     """
-    u = config.unitary().reshape(2, 2, 2, 2)
-    rho_a = config.ancilla.state()
+    u = u.reshape(u.shape[:-2] + (2, 2, 2, 2))
     # out[i, j] = sum U[i,a,k,b] rho[k,l] rho_a[b,c] conj(U[j,a,l,c])
-    phi = np.einsum("iakb,bc,jalc->jilk", u, rho_a, u.conj())
-    return phi.reshape(4, 4)
+    phi = np.einsum("...iakb,...bc,...jalc->...jilk", u, rho_a, u.conj())
+    return phi.reshape(phi.shape[:-4] + (4, 4))
 
 
 def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
     """State after n collisions via the matrix power of the collision map.
 
     Identical (to round-off) to running the loop, without the per-step
-    ledger; used by sweeps and figure grids where only the final state
-    matters.
+    ledger; used by figure grids, where only the final states matter: a
+    stacked config gives the stack of final states in one matrix power.
     """
-    phi = collision_map_superoperator(config)
-    out = unvec(np.linalg.matrix_power(phi, n) @ vec(config.rho0.astype(complex)))
-    return clamp_to_density(out)
+    phi = collision_map_superoperator(config.unitary(), config.ancilla.state())
+    out = np.linalg.matrix_power(phi, n) @ vec(config.rho0.astype(complex))[..., None]
+    return clamp_to_density(unvec(out[..., 0]))
 
 
 def steady_state_by_iteration(config: CollisionConfig,
@@ -168,7 +172,7 @@ def steady_state_by_iteration(config: CollisionConfig,
     if tol <= 0:
         raise ValueError("tol must be positive")
     dt = config.coupling.dt
-    phi = collision_map_superoperator(config)
+    phi = collision_map_superoperator(config.unitary(), config.ancilla.state())
     rho = config.rho0.astype(complex)
     n_done = 0
     block = 1

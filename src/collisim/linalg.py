@@ -45,8 +45,9 @@ def matrices_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product, system factor first, ancilla second."""
-    return np.kron(a, b)
+    """Tensor product, system factor first, ancilla second (of each pair of a stack)."""
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -81,13 +82,13 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exp_minus_i(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) for Hermitian h, via eigendecomposition.
+    """Unitary exp(-i h t) for Hermitian h (or a stack), via eigendecomposition.
 
     Eigendecomposition keeps the result unitary to round-off, unlike a
     truncated series.
     """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ dagger(v)
 
 
 def check_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
@@ -108,11 +109,12 @@ def check_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
 
 
 def clamp_to_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
-    """Project a slightly-off matrix back onto valid density matrices.
+    """Project slightly-off matrices (one or a stack) back onto density matrices.
 
     Hermitizes, clamps eigenvalues in [-PSD_TOL, 0) to zero (logged), and
-    renormalizes the trace. Eigenvalues below -PSD_TOL are an error, not
-    round-off, and raise.
+    renormalizes the trace; a state of a stack is rebuilt only if it had a
+    negative eigenvalue, so each result equals that of clamping it alone.
+    Eigenvalues below -PSD_TOL are an error, not round-off, and raise.
     """
     h = hermitize(rho)
     w, v = np.linalg.eigh(h)
@@ -120,12 +122,12 @@ def clamp_to_density(rho: np.ndarray, what: str = "state") -> np.ndarray:
         raise NotAStateError(f"{what}: eigenvalue {w.min():.3e} below -{PSD_TOL:g}")
     if w.min() < 0:
         logger.debug("clamping negative eigenvalue %.3e of %s to 0", w.min(), what)
-        w = np.clip(w, 0.0, None)
-        h = (v * w) @ v.conj().T
-    tr = np.trace(h).real
-    if tr <= 0:
-        raise NotAStateError(f"{what}: non-positive trace {tr}")
-    return h / tr
+        clamped = (v * np.clip(w, 0.0, None)[..., None, :]) @ dagger(v)
+        h = np.where((w.min(axis=-1) < 0)[..., None, None], clamped, h)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    if tr.min() <= 0:
+        raise NotAStateError(f"{what}: non-positive trace {tr.min()}")
+    return h / tr[..., None, None]
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -8,6 +8,7 @@ with jumps S_j the Pauli system factors of the interaction and rates
 the thermal auto-correlations of the ancilla factors (g0 absorbed in J).
 The rate matrix is a Gram matrix in a state-weighted inner product, hence
 Hermitian and positive semidefinite: the generator is a valid GKSL one.
+Stacked couplings or ancillas give stacks of generators and steady states.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .linalg import clamp_to_density, dagger, hermitize, kron, unvec, vec
 from .model import PAULIS, AncillaPrep, CouplingSpec, QubitHamiltonian
 from .observables import SteadyStateReport, make_report
 
-# Two smallest superoperator singular values below this mark a degenerate
-# (non-unique, initial-state dependent) steady-state family.
+# Two smallest superoperator singular values below this fraction of the total
+# decay rate mark a degenerate (non-unique, initial-state dependent) family.
 DEGENERACY_TOL = 1e-8
 
 
@@ -36,11 +37,11 @@ class GKSLGenerator:
     rates: np.ndarray
 
     def __post_init__(self):
-        if len(self.jumps) != self.rates.shape[0]:
+        if len(self.jumps) != self.rates.shape[-1]:
             raise ValueError("rate matrix size must match the jump list")
         if self.rates.size == 0:
             return
-        if np.max(np.abs(self.rates - self.rates.conj().T)) > 1e-12:
+        if np.max(np.abs(self.rates - dagger(self.rates))) > 1e-12:
             raise ValueError("rate matrix must be Hermitian")
         w = np.linalg.eigvalsh(self.rates)
         if w.min() < -1e-10:
@@ -51,21 +52,16 @@ def build_generator(coupling: CouplingSpec, hs: QubitHamiltonian,
                     ancilla: AncillaPrep) -> GKSLGenerator:
     """Generator induced by a coupling spec on a thermal ancilla.
 
-    Jumps are the Pauli system factors with a nonzero row in J; rows that
-    vanish are pruned. Expects g0-level (sqrt_dt-scaled) couplings so that
-    the rates are dt-independent.
+    Jumps are the Pauli system factors with a nonzero row in J (in any
+    coupling of a stack); rows that vanish are pruned. Expects g0-level
+    (sqrt_dt-scaled) couplings so that the rates are dt-independent.
     """
-    rho_th = ancilla.state()
-    rows = [l for l in range(3) if np.any(coupling.j[l] != 0.0)]
-    jumps = tuple(PAULIS[l] for l in rows)
-    a_ops = [sum(coupling.j[l, m] * PAULIS[m] for m in range(3)) for l in rows]
-    n = len(rows)
-    rates = np.zeros((n, n), dtype=complex)
-    for jj in range(n):
-        for kk in range(n):
-            rates[jj, kk] = np.trace(dagger(a_ops[kk]) @ a_ops[jj] @ rho_th)
-    rates = (rates + rates.conj().T) / 2
-    return GKSLGenerator(h_sys=hs.matrix(), jumps=jumps, rates=rates)
+    rows = [l for l in range(3) if np.any(coupling.j[..., l, :] != 0.0)]
+    # A_j = sum_m J_jm sigma_m with j on axis -4; swapped, the index k is on axis -3
+    a = np.einsum("...jm,mab->...jab", coupling.j[..., rows, :], PAULIS)[..., None, :, :]
+    rho_th = ancilla.state()[..., None, None, :, :]
+    rates = hermitize(np.trace(dagger(a.swapaxes(-3, -4)) @ a @ rho_th, axis1=-2, axis2=-1))
+    return GKSLGenerator(h_sys=hs.matrix(), jumps=tuple(PAULIS[l] for l in rows), rates=rates)
 
 
 def apply_generator(gen: GKSLGenerator, rho: np.ndarray) -> np.ndarray:
@@ -89,10 +85,10 @@ class Superoperator:
 
     @property
     def dim(self) -> int:
-        return int(round(math.sqrt(self.matrix.shape[0])))
+        return int(round(math.sqrt(self.matrix.shape[-1])))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho))
+        return unvec((self.matrix @ vec(rho)[..., None])[..., 0])
 
 
 def vectorize(gen: GKSLGenerator) -> Superoperator:
@@ -100,43 +96,37 @@ def vectorize(gen: GKSLGenerator) -> Superoperator:
     d = gen.h_sys.shape[0]
     eye = np.eye(d, dtype=complex)
     h = gen.h_sys
+    s = np.array(gen.jumps, dtype=complex).reshape(-1, d, d)
+    s_j, s_k = s[:, None], s[None, :]
+    sks = dagger(s_k) @ s_j
+    # the dissipator term of rates[j, k]
+    terms = kron(s_k.conj(), s_j) - 0.5 * (kron(eye, sks) + kron(sks.swapaxes(-1, -2), eye))
     m = -1j * (kron(eye, h) - kron(h.T, eye))
-    for jj, s_j in enumerate(gen.jumps):
-        for kk, s_k in enumerate(gen.jumps):
-            g = gen.rates[jj, kk]
-            if g == 0:
-                continue
-            sks = dagger(s_k) @ s_j
-            m = m + g * (kron(dagger(s_k).T, s_j)
-                         - 0.5 * (kron(eye, sks) + kron(sks.T, eye)))
-    return Superoperator(matrix=m)
+    return Superoperator(matrix=m + np.einsum("...jk,jkab->...ab", gen.rates, terms))
 
 
 def steady_state_kernel(superop: Superoperator,
                         hs: QubitHamiltonian | None = None) -> SteadyStateReport:
-    """Steady state as the kernel of the generator, via SVD.
+    """Steady state as the kernel of the generator (or of each of a stack), via SVD.
 
     The right-singular vector of the smallest singular value, Hermitized and
     trace-normalized, is rho*. When the two smallest singular values both
-    fall below DEGENERACY_TOL the steady state is non-unique and the report
-    is flagged degenerate (pick by iteration from a definite initial state
-    instead).
+    fall below DEGENERACY_TOL times the total decay rate -Re Tr L (4 Tr gamma
+    for Pauli jumps), so that weak couplings are judged on their own scale,
+    the steady state is non-unique and the report is flagged degenerate
+    (pick by iteration from a definite initial state instead).
     """
     m = superop.matrix
     _, s, vh = np.linalg.svd(m)
-    v = vh.conj().T[:, -1]
-    raw = unvec(v)
-    raw = hermitize(raw)
-    tr = np.trace(raw).real
-    if abs(tr) < 1e-12:
+    raw = hermitize(unvec(vh[..., -1, :].conj()))
+    tr = np.trace(raw, axis1=-2, axis2=-1).real
+    if np.min(np.abs(tr)) < 1e-12:
         raise ValueError("kernel vector has vanishing trace; cannot normalize to a state")
-    rho = clamp_to_density(raw / tr)
-    degenerate = bool(s[-1] < DEGENERACY_TOL and s[-2] < DEGENERACY_TOL)
-    residual = float(np.max(np.abs(superop.apply(rho))))
-    if hs is None:
-        hs = QubitHamiltonian(0.0)
-    return make_report(rho, hs, method="kernel", residual=residual,
-                       degenerate=degenerate)
+    rho = clamp_to_density(raw / tr[..., None, None])
+    degenerate = s[..., -2] <= DEGENERACY_TOL * -np.trace(m, axis1=-2, axis2=-1).real
+    residual = np.max(np.abs(superop.apply(rho)), axis=(-2, -1))
+    return make_report(rho, hs or QubitHamiltonian(0.0), method="kernel",
+                       residual=residual, degenerate=degenerate)
 
 
 def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import exp_minus_i, hermitize, kron
+from .linalg import dagger, exp_minus_i, hermitize, kron
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,6 +23,7 @@ SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_LABELS = ("x", "y", "z")
+PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])  # [l, m] = sigma_l (x) sigma_m
 
 KET_E = np.array([1, 0], dtype=complex)
 KET_G = np.array([0, 1], dtype=complex)
@@ -46,14 +47,15 @@ class QubitHamiltonian:
 class AncillaPrep:
     """Thermal ancilla preparation: inverse temperature and frequency.
 
-    beta may be +-inf (zero-temperature limits); omega_a must be finite.
+    beta may be +-inf (zero-temperature limits) or an array (a stack of
+    ancillas); omega_a must be finite.
     """
 
     beta: float
     omega_a: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.beta):
+        if np.any(np.isnan(self.beta)):
             raise ValueError("beta must be a real number or +-inf")
         if not math.isfinite(self.omega_a):
             raise ValueError("omega_a must be finite")
@@ -71,7 +73,8 @@ class CouplingSpec:
 
     The J_lm are the g0-level constants; with scaling='sqrt_dt' the built
     interaction carries the extra dt**-0.5 so the induced master equation is
-    dt-independent. scaling='none' uses the J_lm verbatim.
+    dt-independent. scaling='none' uses the J_lm verbatim. A (..., 3, 3)
+    stack of J describes a stack of couplings that share dt.
     """
 
     j: np.ndarray            # 3x3 real, (x,y,z) x (x,y,z)
@@ -80,7 +83,7 @@ class CouplingSpec:
 
     def __post_init__(self):
         jm = np.array(self.j, dtype=float)
-        if jm.shape != (3, 3):
+        if jm.shape[-2:] != (3, 3):
             raise ValueError("j must be a 3x3 real matrix")
         if not np.all(np.isfinite(jm)):
             raise ValueError("all J_lm must be finite")
@@ -100,17 +103,17 @@ class CouplingSpec:
 
 
 def diagonal_coupling(j_x: float, j_y: float, dt: float, scaling: str = "sqrt_dt") -> CouplingSpec:
-    """J_x sigma_x sigma_x + J_y sigma_y sigma_y family."""
-    j = np.zeros((3, 3))
-    j[0, 0], j[1, 1] = j_x, j_y
+    """J_x sigma_x sigma_x + J_y sigma_y sigma_y family (arrays give a stack)."""
+    j = np.zeros(np.broadcast_shapes(np.shape(j_x), np.shape(j_y)) + (3, 3))
+    j[..., 0, 0], j[..., 1, 1] = j_x, j_y
     return CouplingSpec(j, dt, scaling)
 
 
 def ssc_coupling(j_x: float, j_y: float, j_zy: float, dt: float,
                  scaling: str = "sqrt_dt") -> CouplingSpec:
     """Coherence-generating family: diagonal XX+YY plus a sigma_z sigma_y term."""
-    j = np.zeros((3, 3))
-    j[0, 0], j[1, 1], j[2, 1] = j_x, j_y, j_zy
+    j = np.zeros(np.broadcast_shapes(np.shape(j_x), np.shape(j_y), np.shape(j_zy)) + (3, 3))
+    j[..., 0, 0], j[..., 1, 1], j[..., 2, 1] = j_x, j_y, j_zy
     return CouplingSpec(j, dt, scaling)
 
 
@@ -121,7 +124,7 @@ class SscAngles:
     J_x = m cos(alpha) cos(gamma), J_y = m cos(alpha) sin(gamma),
     J_zy = m sin(alpha); alpha in [0, pi/2] measures the weight of the
     dephasing (parallel) term against the diagonal (perpendicular) one, up
-    to the pure sigma_z sigma_y member at alpha = pi/2.
+    to the pure sigma_z sigma_y member at alpha = pi/2. Arrays give a stack.
     """
 
     alpha: float
@@ -129,9 +132,9 @@ class SscAngles:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.alpha <= np.pi / 2:
+        if not np.all((0 <= self.alpha) & (self.alpha <= np.pi / 2)):
             raise ValueError("alpha must lie in [0, pi/2]")
-        if not -np.pi <= self.gamma <= np.pi:
+        if not np.all((-np.pi <= self.gamma) & (self.gamma <= np.pi)):
             raise ValueError("gamma must lie in [-pi, pi]")
 
     def j_values(self) -> tuple[float, float, float]:
@@ -159,37 +162,32 @@ def coupling_to_ssc(spec: CouplingSpec) -> SscAngles:
 def gibbs_state(h, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H)/Z of a Hamiltonian.
 
-    Accepts a QubitHamiltonian or any Hermitian matrix. beta = +inf returns
-    the normalized ground-space projector (-inf the top eigenspace); a
-    degenerate extremal eigenspace at infinite beta is an error because the
-    limit depends on the approach path.
+    Accepts a QubitHamiltonian or any Hermitian matrix, and an array of beta
+    for a stack of states. beta = +inf returns the ground-state projector
+    (-inf the top one); a degenerate extremal eigenspace at infinite beta is
+    an error because the limit depends on the approach path.
     """
     hm = h.matrix() if isinstance(h, QubitHamiltonian) else np.asarray(h, dtype=complex)
     w, v = np.linalg.eigh(hm)
-    if math.isinf(beta):
-        target = w[0] if beta > 0 else w[-1]
-        sel = np.abs(w - target) <= 1e-12 * max(1.0, np.max(np.abs(w)))
-        if np.count_nonzero(sel) > 1:
-            raise ValueError("ill-defined zero-temperature limit: extremal eigenspace degenerate")
-        p = (v[:, sel] @ v[:, sel].conj().T)
-        return p / np.trace(p).real
+    beta = np.asarray(beta, dtype=float)[..., None]
+    finite = np.isfinite(beta)
     # subtract the max exponent for overflow safety at large |beta|
-    x = -beta * w
-    x = x - np.max(x)
+    x = -np.where(finite, beta, 0.0) * w
+    x = x - np.max(x, axis=-1, keepdims=True)
     pops = np.exp(x)
-    pops /= pops.sum()
-    return (v * pops) @ v.conj().T
+    pops /= pops.sum(axis=-1, keepdims=True)
+    if not finite.all():
+        target = np.where(beta > 0, w[0], w[-1])
+        sel = np.abs(w - target) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+        if np.any(~finite & (sel.sum(axis=-1, keepdims=True) > 1)):
+            raise ValueError("ill-defined zero-temperature limit: extremal eigenspace degenerate")
+        pops = np.where(finite, pops, sel)
+    return (v * pops[..., None, :]) @ dagger(v)
 
 
 def build_interaction(spec: CouplingSpec) -> np.ndarray:
-    """4x4 interaction Hamiltonian s * sum_lm J_lm sigma_l (x) sigma_m."""
-    v = np.zeros((4, 4), dtype=complex)
-    for l in range(3):
-        for m in range(3):
-            c = spec.j[l, m]
-            if c != 0.0:
-                v = v + c * kron(PAULIS[l], PAULIS[m])
-    return hermitize(v) * spec.scale
+    """4x4 interaction Hamiltonian s * sum_lm J_lm sigma_l (x) sigma_m (a stack for stacked J)."""
+    return hermitize(np.einsum("...lm,lmij->...ij", spec.j, PAULI_PAIRS)) * spec.scale
 
 
 def total_hamiltonian(hs: QubitHamiltonian, ha: QubitHamiltonian,
@@ -199,8 +197,8 @@ def total_hamiltonian(hs: QubitHamiltonian, ha: QubitHamiltonian,
 
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
                       hsa: np.ndarray, dt: float) -> np.ndarray:
-    """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision."""
-    if hsa.shape != (4, 4):
+    """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision (or a stack)."""
+    if hsa.shape[-2:] != (4, 4):
         raise ValueError("interaction must act on the 4-dimensional joint space")
     return exp_minus_i(total_hamiltonian(hs, ha, hsa), dt)
 

@@ -20,17 +20,16 @@ def effective_beta(rho: np.ndarray, omega_s: float) -> float:
     """Inverse temperature of the Gibbs state matching the population ratio.
 
     beta_eff = ln(p_g / p_e) / omega_s; negative for inverted populations,
-    +-inf when one population vanishes (sign set by which one).
+    +-inf when one population vanishes (sign set by which one). Takes one
+    state or a stack of them.
     """
     if omega_s == 0:
         raise ValueError("effective temperature undefined for a degenerate Hamiltonian")
-    p_e = rho[0, 0].real
-    p_g = rho[1, 1].real
-    if p_e <= 0:
-        return math.inf if omega_s > 0 else -math.inf
-    if p_g <= 0:
-        return -math.inf if omega_s > 0 else math.inf
-    return math.log(p_g / p_e) / omega_s
+    p_e, p_g = rho[..., 0, 0].real, rho[..., 1, 1].real
+    inf = math.copysign(math.inf, omega_s)
+    with np.errstate(all="ignore"):
+        out = np.log(p_g / p_e) / omega_s
+    return per_state(np.where(p_e <= 0, inf, np.where(p_g <= 0, -inf, out)))
 
 
 def l1_coherence(rho: np.ndarray) -> float:
@@ -70,7 +69,8 @@ class SteadyStateReport:
     of l1-coherence (populations alone do not define a temperature then).
     residual is ||L(rho*)||_max for the kernel method and the final
     per-unit-time trace-distance update for iteration. degenerate marks a
-    non-unique steady state (initial-state dependent).
+    non-unique steady state (initial-state dependent). A report on a stack
+    of steady states holds arrays, with nan for a suppressed beta_eff.
     """
 
     rho_star: np.ndarray
@@ -85,15 +85,17 @@ class SteadyStateReport:
 def make_report(rho_star: np.ndarray, hs: QubitHamiltonian, method: str,
                 residual: float, degenerate: bool) -> SteadyStateReport:
     coh = l1_coherence(rho_star)
-    beta_eff = None
-    if coh <= COHERENCE_THRESHOLD and hs.omega != 0:
-        beta_eff = effective_beta(rho_star, hs.omega)
+    beta_eff = np.where(np.asarray(coh) <= COHERENCE_THRESHOLD,
+                        effective_beta(rho_star, hs.omega) if hs.omega != 0 else math.nan,
+                        math.nan)
+    if beta_eff.ndim == 0:
+        beta_eff = None if math.isnan(beta_eff) else float(beta_eff)
     return SteadyStateReport(
         rho_star=rho_star,
         beta_eff=beta_eff,
         coherence_l1=coh,
         ergotropy=ergotropy(rho_star, hs.matrix()),
-        residual=residual,
-        degenerate=degenerate,
+        residual=per_state(residual),
+        degenerate=bool(degenerate) if np.ndim(degenerate) == 0 else degenerate,
         method=method,
     )

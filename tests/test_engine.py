@@ -141,8 +141,8 @@ def test_propagate_collisions_matches_run():
 def test_collision_map_superoperator_matches_collide_once():
     rng = np.random.default_rng(55)
     cfg = _config(ssc_coupling(0.6, -0.8, 0.4, dt=0.07))
-    phi = collision_map_superoperator(cfg)
     u = cfg.unitary()
+    phi = collision_map_superoperator(u, cfg.ancilla.state())
     for _ in range(20):
         rho = random_density(2, rng)
         direct, _ = collide_once(rho, cfg.ancilla.state(), u)
@@ -234,6 +234,6 @@ def test_run_rejects_a_map_that_leaves_the_state_space(monkeypatch):
     # the states are checked once, over the whole stack, and never repaired
     import collisim.engine as engine
     leaky = np.diag([1.0, 1.0, 1.0, 1.001]).astype(complex)  # trace grows each step
-    monkeypatch.setattr(engine, "collision_map_superoperator", lambda config: leaky)
+    monkeypatch.setattr(engine, "collision_map_superoperator", lambda u, rho_a: leaky)
     with pytest.raises(NotAStateError, match="trace"):
         run(_config(diagonal_coupling(1.0, 1.0, dt=0.05), n=5))

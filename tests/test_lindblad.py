@@ -134,6 +134,15 @@ def test_kernel_flags_pure_dephasing_as_degenerate():
     assert rep.degenerate
 
 
+def test_kernel_weak_coupling_not_flagged_degenerate():
+    # singular values [1, 1, 2.7e-10, 2e-18]: tiny on an absolute scale, but
+    # the second one is of the order of the decay rates, so rho* is unique
+    m = 1e-5
+    rep = steady_state_of(ssc_coupling(m, 0.5 * m, 0.3 * m, dt=0.05), HS, ANC)
+    assert not rep.degenerate
+    assert rep.residual < 1e-15
+
+
 def test_kernel_unique_for_ssc_family():
     rep = steady_state_of(ssc_coupling(1.0, 0.5, 1.0, dt=0.05), HS, ANC)
     assert not rep.degenerate

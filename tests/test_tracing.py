@@ -42,3 +42,22 @@ def test_benchmark_spans_install_and_trace_a_run(tmp_path):
         assert stats[label]["calls"] >= 1, label
     assert stats["engine.run"]["collisions"] == 20
     assert stats["cli.trajectory_rows"]["rows"] == 21
+    # one joint unitary per trajectory drives both the map and the ledger
+    assert stats["model.collision_unitary"]["calls"] == 1
+
+
+def test_benchmark_spans_trace_a_figure_command(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer(str(tmp_path / "workers"))
+    try:
+        spans.install(tracer)
+        assert main(["fig5", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.unpatch()
+    assert collisim.cli.propagate_collisions is collisim.engine.propagate_collisions
+    stats = tracer.stats
+    for label in ("cli.fig5", "engine.collision_map_superoperator", "cli.write_table"):
+        assert stats[label]["calls"] >= 1, label
+    # the coherence grid is one stacked propagation
+    assert stats["engine.propagate_collisions"]["calls"] == 1
+    assert stats["cli.write_table"]["rows"] == 5 * 65 + 4 * 1001
