@@ -6,8 +6,8 @@ from .engine import (CollisionConfig, NoSteadyStateError, Trajectory,
 from .lindblad import (GKSLGenerator, Superoperator, apply_generator,
                        build_generator, evolve_continuous, steady_state_kernel,
                        steady_state_of, vectorize)
-from .linalg import (clamp_to_density, exp_minus_i, herm_eig, kron,
-                     partial_trace, trace_distance)
+from .linalg import (clamp_to_density, exp_minus_i, kron, partial_trace,
+                     trace_distance)
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,
                     bloch_state, build_interaction, collision_unitary,
                     coupling_to_ssc, diagonal_coupling, gibbs_state,

@@ -5,8 +5,8 @@ is CSV (or JSON) written under --out, the COLLISIM_OUT environment variable,
 or the working directory. Exit codes: 0 ok, 2 configuration error,
 3 numerical failure.
 
-Output is deterministic: identical configs give byte-identical files, for
-any parallelism. Floats are formatted in scientific notation with 17
+Output is deterministic: identical configs give byte-identical files.
+Floats are formatted in scientific notation with 17
 significant digits; the column sets are frozen and documented in README.
 """
 
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby, product
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .engine import (CollisionConfig, NoSteadyStateError, propagate_collisions,
                      run, steady_state_by_iteration)
 from .lindblad import steady_state_of
 from .linalg import NotAStateError, trace_distance
-from .model import (FIG3_THETA, AncillaPrep, QubitHamiltonian, SscAngles,
-                    diagonal_coupling, pure_state, ssc_to_coupling)
+from .model import (FIG3_THETA, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    SscAngles, diagonal_coupling, pure_state, ssc_to_coupling)
 from .observables import SteadyStateReport, ergotropy, l1_coherence
 from .thermo import current_evaluators
 
@@ -37,6 +37,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 ENV_OUT_DIR = "COLLISIM_OUT"
+
+# CSV rows formatted and written at a time: bounds the text held in memory.
+WRITE_BATCH = 1000
 
 # Documented figure presets (frequencies in units of omega_s = 1).
 FIG_DT = 0.05
@@ -67,11 +70,11 @@ def fmt(x) -> str:
 
 def write_table(path: str, columns: list[str], rows: list[list], out_format: str) -> None:
     if out_format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(",".join(columns) + "\n")
+            for start in range(0, len(rows), WRITE_BATCH):
+                fh.write("".join(",".join(fmt(v) for v in row) + "\n"
+                                 for row in rows[start:start + WRITE_BATCH]))
     else:
         doc = {"columns": columns,
                "rows": [[fmt(v) for v in row] for row in rows]}
@@ -85,43 +88,46 @@ def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
 
     +inf where p_e vanishes, -inf where p_g does, nan for omega_s = 0.
     """
-    p_e, p_g = rhos[:, 0, 0].real, rhos[:, 1, 1].real
+    p_e, p_g = rhos[..., 0, 0].real, rhos[..., 1, 1].real
     if omega_s == 0:
-        return np.full(len(rhos), math.nan)
+        return np.full(p_e.shape, math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(p_g / p_e) / omega_s
     return np.where(p_e <= 0, math.inf, np.where(p_g <= 0, -math.inf, out))
 
 
 def trajectory_rows(cfg: CollisionConfig) -> list[list]:
-    """One row per recorded state, in the frozen RUN_COLUMNS order."""
+    """One row per recorded state, each trajectory of a stack in turn, in RUN_COLUMNS order."""
     # the column arrays die with _trajectory_table, before the rows are built
-    rows = _trajectory_table(cfg).tolist()
-    for i, row in enumerate(rows):
-        row.insert(0, i)
+    rows = _trajectory_table(cfg).reshape(-1, len(RUN_COLUMNS)).tolist()
+    for row in rows:
+        row[0] = int(row[0])
     return rows
 
 
 def _trajectory_table(cfg: CollisionConfig) -> np.ndarray:
-    """The float columns of trajectory_rows, one row per recorded state."""
+    """The RUN_COLUMNS of each recorded state as floats: (..., n + 1, 22)."""
     traj = run(cfg)
     rhos = traj.states
     dt = cfg.coupling.dt
-    cur_w, cur_q = current_evaluators(cfg.coupling, cfg.hs, cfg.ancilla)(rhos)
+    # the current kernels carry the config's stack axes: put time first
+    cur_w, cur_q = (np.moveaxis(c, 0, -1) for c in current_evaluators(
+        cfg.coupling, cfg.hs, cfg.ancilla)(np.moveaxis(rhos, -3, 0)))
     # the ledger entry of the collision ending at each row; zeros on row 0
-    w, q, de_s, ds, sigma = (np.concatenate(([0.0], getattr(traj.ledger, key)))
-                             for key in ("w", "q", "de_s", "ds", "sigma"))
+    w, q, de_s, ds, sigma = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(1, 0)]) for x in (
+        traj.ledger.w, traj.ledger.q, traj.ledger.de_s, traj.ledger.ds, traj.ledger.sigma))
+    n = np.arange(rhos.shape[-3])
     columns = [
-        np.arange(len(rhos)) * dt,
-        rhos[:, 0, 0].real, rhos[:, 1, 1].real, rhos[:, 0, 1].real, rhos[:, 0, 1].imag,
+        n, n * dt,
+        rhos[..., 0, 0].real, rhos[..., 1, 1].real, rhos[..., 0, 1].real, rhos[..., 0, 1].imag,
         _safe_beta_eff(rhos, cfg.hs.omega), l1_coherence(rhos),
         ergotropy(rhos, cfg.hs.matrix()),
         w, q, de_s, ds, sigma,
-        np.cumsum(w), np.cumsum(q), np.cumsum(sigma),
+        np.cumsum(w, axis=-1), np.cumsum(q, axis=-1), np.cumsum(sigma, axis=-1),
         w / dt, q / dt, sigma / dt,
         cur_w, cur_q,
     ]
-    return np.column_stack(columns)
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def _select_columns(rows: list[list], quantities: tuple[str, ...]) -> list[list]:
@@ -191,45 +197,35 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
     return path
 
 
-def _evaluate_sweep_point(doc: dict) -> list[list]:
-    """Worker: full trajectory rows of one sweep point."""
-    return trajectory_rows(parse_run_config(doc).collision_config())
-
-
-def cmd_sweep(sweep: SweepConfig, parallel: int | None, out_dir: str,
+def cmd_sweep(sweep: SweepConfig, out_dir: str,
               out_format: str | None = None) -> tuple[str, int]:
-    """Evaluate all sweep points; merge rows in axis order.
+    """Evaluate all sweep points as stacks of trajectories; rows in axis order.
 
+    Consecutive points that differ only in J, beta and rho0 run as one stack.
     Failed points emit no data rows; they are recorded with their error in a
     <output>_failures.json sidecar and make the command exit 3.
     """
     base_cfg = parse_run_config(sweep.base)
     fmt_ = out_format or base_cfg.out_format
-    points = sweep.points()
-    n_workers = parallel or sweep.parallel
-    results: list = [None] * len(points)
-    failures: list[dict] = []
-
-    if n_workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for i, res in enumerate(pool.map(_sweep_point_safe, points)):
-                results[i] = res
-    else:
-        for i, doc in enumerate(points):
-            results[i] = _sweep_point_safe(doc)
+    parsed = [_sweep_point_safe(doc) for doc in sweep.points()]
+    results: list = []
+    for _, group in groupby(parsed, key=_stack_key):
+        group = list(group)
+        results += group if isinstance(group[0], str) else _stack_rows(group)
 
     axis_paths = [ax.path for ax in sweep.axes]
     columns = axis_paths + list(RUN_COLUMNS)
     merged: list[list] = []
-    for i, (doc, res) in enumerate(zip(points, results)):
-        axis_values = [_get_path(doc, p) for p in axis_paths]
+    failures: list[dict] = []
+    for i, (axis_values, res) in enumerate(zip(product(*(ax.values for ax in sweep.axes)),
+                                               results)):
         if isinstance(res, str):
-            failures.append({"point": i,
-                             "axes": dict(zip(axis_paths, axis_values)),
+            failures.append({"point": i, "axes": dict(zip(axis_paths, axis_values)),
                              "error": res})
             continue
         for row in res:
-            merged.append(axis_values + row)
+            row[:0] = axis_values
+        merged += res
 
     stem = os.path.splitext(os.path.basename(base_cfg.out_path))[0] or "sweep"
     path = _out_path(out_dir, stem + "_sweep." + ("csv" if fmt_ == "csv" else "json"))
@@ -243,17 +239,40 @@ def cmd_sweep(sweep: SweepConfig, parallel: int | None, out_dir: str,
 
 
 def _sweep_point_safe(doc: dict):
+    """The parsed config of one sweep point, or its error as a string."""
     try:
-        return _evaluate_sweep_point(doc)
-    except (ConfigError, NoSteadyStateError, NotAStateError, ValueError) as exc:
+        return parse_run_config(doc)
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _get_path(doc: dict, path: str):
-    node = doc
-    for key in path.split("."):
-        node = node[key]
-    return node
+def _stack_key(cfg):
+    """What the points of one stack share: all but J, beta and rho0."""
+    if isinstance(cfg, str):
+        return None
+    return (cfg.omega_s, cfg.omega_a, cfg.coupling.dt, cfg.coupling.scaling, cfg.n_collisions)
+
+
+def _stack_rows(cfgs: list[RunConfig]) -> list:
+    """Trajectory rows of each point of a stack, or the error of a point.
+
+    When the stack fails, its points run alone, so that only the failing
+    ones are lost.
+    """
+    first = cfgs[0]
+    try:
+        rows = trajectory_rows(CollisionConfig(
+            hs=first.hs(),
+            ancilla=AncillaPrep(np.array([c.beta for c in cfgs]), first.omega_a),
+            coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]),
+                                  first.coupling.dt, first.coupling.scaling),
+            n_collisions=first.n_collisions, rho0=np.array([c.rho0 for c in cfgs])))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        if len(cfgs) == 1:
+            return [f"{type(exc).__name__}: {exc}"]
+        return [res for c in cfgs for res in _stack_rows([c])]
+    per_point = len(rows) // len(cfgs)
+    return [rows[k:k + per_point] for k in range(0, len(rows), per_point)]
 
 
 def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
@@ -368,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cartesian parameter sweep")
     add_common(p_sweep)
     p_sweep.add_argument("--format", choices=["csv", "json"], default=None)
-    p_sweep.add_argument("--parallel", type=int, default=None)
+    # accepted for existing invocations; sweeps run in one process
+    p_sweep.add_argument("--parallel", type=int, default=None, help="no effect")
 
     for name, help_ in (("fig3", "effective temperature and current traces"),
                         ("fig5", "steady-state coherence and current traces"),
@@ -392,8 +412,7 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
             return EXIT_OK
         if args.command == "sweep":
-            path, code = cmd_sweep(load_sweep_config(args.config), args.parallel,
-                                   out_dir, args.format)
+            path, code = cmd_sweep(load_sweep_config(args.config), out_dir, args.format)
             print(path)
             return code
         if args.command == "fig3":

@@ -304,6 +304,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         _set_path(probe, ax["path"], values[0])
         parse_run_config(probe)
         axes.append(SweepAxis(path=ax["path"], values=values))
+    # validated because existing configs set it; it selects nothing
     parallel = doc.get("parallel", 1)
     if not isinstance(parallel, int) or parallel < 1:
         raise ConfigError("sweep.parallel: expected a positive integer")

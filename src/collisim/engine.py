@@ -2,15 +2,14 @@
 
 Every collision applies the same linear map Phi to the qubit state; a
 trajectory is the stack of its iterates, and the ledger is evaluated on that
-stack. Distinct configurations are independent and safe to run concurrently
-(all inputs are immutable and the engine keeps no global state).
+stack. A stack of configurations runs as one stack of trajectories, and a
+single configuration is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,7 @@ class CollisionConfig:
     """Everything one repeated-interaction run needs.
 
     coupling.j, ancilla.beta and rho0 may carry stack axes that broadcast
-    together: a grid of runs for `propagate_collisions` (`run` takes one).
+    together: a grid of runs for `run` and `propagate_collisions`.
     """
 
     hs: QubitHamiltonian
@@ -66,21 +65,17 @@ class CollisionConfig:
 class Trajectory:
     """Recorded states rho_S(0), rho_S(dt), ... plus the thermodynamic ledger.
 
-    states is an (n + 1, 2, 2) stack.
+    states is an (..., n + 1, 2, 2) stack, with the stack axes of the config
+    leading.
     """
 
     dt: float
     states: np.ndarray
     ledger: ThermoLedger
-    converged_at: Optional[int] = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.states))
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[-1]
+        return self.states[..., -1, :, :]
 
 
 def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
@@ -96,40 +91,38 @@ def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
     return rho_next, joint_after
 
 
-def run(config: CollisionConfig, early_stop: bool = False) -> Trajectory:
+def run(config: CollisionConfig) -> Trajectory:
     """Propagate rho0 through n_collisions applications of Phi, with the ledger.
 
-    The states are checked once, as a stack, and never repaired: any
-    eigenvalue below -PSD_TOL, trace error or Hermiticity error raises
-    NotAStateError. Deterministic: identical configs give identical output.
-    converged_at is the first collision whose per-unit-time update falls
-    below convergence_tol; with early_stop the trajectory ends there.
+    A stacked config (coupling.j, ancilla.beta or rho0 with stack axes) runs
+    as one stack of trajectories: states (..., n + 1, 2, 2) and ledger
+    arrays (..., n). The states are checked once, as a stack, and never
+    repaired: any eigenvalue below -PSD_TOL, trace error or Hermiticity
+    error raises NotAStateError. Deterministic: identical configs give
+    identical output.
     """
-    dt = config.coupling.dt
     u = config.unitary()
     rho_a = config.ancilla.state()
     phi = collision_map_superoperator(u, rho_a)
-    vecs = np.empty((config.n_collisions + 1, 4), dtype=complex)
-    vecs[0] = vec(config.rho0.astype(complex))
+    v0 = vec(config.rho0.astype(complex))
+    batch = np.broadcast_shapes(phi.shape[:-2], v0.shape[:-1])
+    vecs = np.empty(batch + (config.n_collisions + 1, 4), dtype=complex)
+    vecs[..., 0, :] = v0
     for n in range(config.n_collisions):
-        vecs[n + 1] = phi @ vecs[n]
+        np.matmul(phi, vecs[..., n, :, None], out=vecs[..., n + 1, :, None])
     states = unvec(vecs)
-
-    below = np.flatnonzero(trace_distance(states[1:], states[:-1])
-                           < config.convergence_tol * dt)
-    converged_at = int(below[0]) + 1 if below.size else None
-    if early_stop and converged_at is not None:
-        states = states[:converged_at + 1]
 
     entropies = spectral_entropy(check_density(states, "trajectory state"))
     energies = expectation(config.hs.matrix(), states)
-    before = states[:-1]
-    ledger = ThermoLedger(dt=dt, beta=config.ancilla.beta)
-    ledger.record(
-        w=expectation(work_operator(u, build_interaction(config.coupling), rho_a), before),
-        q=expectation(heat_operator(u, config.ancilla.hamiltonian().matrix(), rho_a), before),
-        de_s=np.diff(energies), ds=np.diff(entropies))
-    return Trajectory(dt=dt, states=states, ledger=ledger, converged_at=converged_at)
+    before = states[..., :-1, :, :]
+    k_w = work_operator(u, build_interaction(config.coupling), rho_a)
+    k_q = heat_operator(u, config.ancilla.hamiltonian().matrix(), rho_a)
+    ledger = ThermoLedger(dt=config.coupling.dt, beta=config.ancilla.beta)
+    # the one-body operators carry the config's stack axes, not the time axis
+    ledger.record(w=expectation(k_w[..., None, :, :], before),
+                  q=expectation(k_q[..., None, :, :], before),
+                  de_s=np.diff(energies), ds=np.diff(entropies))
+    return Trajectory(dt=config.coupling.dt, states=states, ledger=ledger)
 
 
 def collision_map_superoperator(u: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
@@ -158,7 +151,7 @@ def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
 
 
 def steady_state_by_iteration(config: CollisionConfig,
-                              tol: Optional[float] = None) -> "observables.SteadyStateReport":
+                              tol: float | None = None) -> "observables.SteadyStateReport":
     """Iterate collisions until the per-unit-time update drops below tol.
 
     Convergence criterion: trace_distance(rho_{n+1}, rho_n) < tol * dt, so

@@ -55,30 +55,20 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
 
     Parameters
     ----------
-    rho : square array of dimension d_S * d_A
+    rho : square array of dimension d_S * d_A, or a stack (..., d, d) of them
     dims : (d_S, d_A)
     keep : 'S' keeps the first factor, 'A' the second.
     """
     d_s, d_a = dims
-    if rho.shape != (d_s * d_a, d_s * d_a):
+    if rho.shape[-2:] != (d_s * d_a, d_s * d_a):
         raise ValueError(
             f"incompatible factorization: operator is {rho.shape}, dims {dims}")
-    r = rho.reshape(d_s, d_a, d_s, d_a)
+    r = rho.reshape(rho.shape[:-2] + (d_s, d_a, d_s, d_a))
     if keep in ("S", "s", "system"):
-        return np.einsum("ikjk->ij", r)
+        return np.einsum("...ikjk->...ij", r)
     if keep in ("A", "a", "ancilla"):
-        return np.einsum("kikj->ij", r)
+        return np.einsum("...kikj->...ij", r)
     raise ValueError(f"unknown subsystem tag {keep!r}")
-
-
-def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of column eigenvectors) with
-    h = V diag(w) V^dag.
-    """
-    w, v = np.linalg.eigh(h)
-    return w, v
 
 
 def exp_minus_i(h: np.ndarray, t: float) -> np.ndarray:

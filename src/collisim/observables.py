@@ -43,15 +43,16 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
     """Maximum work extractable by a cyclic unitary: Tr[rho H] - Tr[rho_p H].
 
     The passive pairing (largest population on the lowest energy) settles
-    the index convention; values in [-1e-12, 0) from round-off clamp to 0.
-    Takes one state or a stack of them.
+    the index convention; round-off scales with the energy span of h, so
+    values in [-1e-12 max(1, span), 0) clamp to 0. Takes one state or a
+    stack of them.
     """
     rho = hermitize(rho)
     pops = np.linalg.eigvalsh(rho)[..., ::-1]
     energies = np.linalg.eigvalsh(hermitize(h))
     e_now = np.einsum("...ij,ji->...", rho, h).real
     out = e_now - pops @ energies
-    if np.min(out) < -1e-12:
+    if np.min(out) < -1e-12 * max(1.0, energies[-1] - energies[0]):
         raise ValueError(f"ergotropy {np.min(out):.3e} below round-off floor; invalid inputs")
     return per_state(np.maximum(out, 0.0))
 

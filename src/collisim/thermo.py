@@ -43,15 +43,15 @@ def entropy(rho: np.ndarray) -> float:
     return per_state(spectral_entropy(np.linalg.eigvalsh(hermitize(rho))))
 
 
-def entropy_production(ds, q, beta: float):
-    """Sigma = dS + beta * Q, elementwise.
+def entropy_production(ds, q, beta):
+    """Sigma = dS + beta * Q, elementwise; beta broadcasts against ds and q.
 
     At beta = +-inf any real heat exchange makes beta * Q diverge: Sigma is
     dS where |Q| <= INF_BETA_HEAT_TOL (round-off) and +inf elsewhere.
     """
-    if math.isinf(beta):
-        return np.where(np.abs(q) <= INF_BETA_HEAT_TOL, ds, math.inf)
-    return ds + beta * q
+    finite = np.isfinite(beta)
+    sigma = ds + np.where(finite, beta, 0.0) * q
+    return np.where(finite, sigma, np.where(np.abs(q) <= INF_BETA_HEAT_TOL, ds, math.inf))
 
 
 def _log_psd(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -90,8 +90,8 @@ def reduced_operator(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
 
 
 def expectation(k: np.ndarray, rho: np.ndarray):
-    """Tr[K rho] for one state (a float) or a stack (an array)."""
-    return per_state(np.einsum("ij,...ji->...", k, rho).real)
+    """Tr[K rho] for one state (a float) or stacks that broadcast (an array)."""
+    return per_state(np.einsum("...ij,...ji->...", k, rho).real)
 
 
 def work_operator(u: np.ndarray, h_sa: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
@@ -128,7 +128,8 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
     """Continuous-limit (work, heat) currents as a function of the system state.
 
     Returns f(rho_s) -> (w_dot, q_dot) for one state or a stack of them
-    (g0-level J units); the kernels are built once, as one-body operators.
+    (g0-level J units); the kernels are built once, as one-body operators
+    with the stack axes of the config, against which rho_s broadcasts.
     """
     v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
     ha = kron(I2, ancilla.hamiltonian().matrix())
@@ -207,35 +208,29 @@ def weak_coupling_sigma_rate(traj, hs: QubitHamiltonian, beta: float,
 
 @dataclass
 class ThermoLedger:
-    """Per-collision thermodynamic records and their cumulative sums."""
+    """Per-collision thermodynamic records of a trajectory or a stack of them.
+
+    Each record is an (..., n) array, one entry per collision, with the
+    stack axes of the trajectories leading; beta broadcasts against them.
+    """
 
     dt: float
-    beta: float
-    w: list[float] = field(default_factory=list)
-    q: list[float] = field(default_factory=list)
-    de_s: list[float] = field(default_factory=list)
-    ds: list[float] = field(default_factory=list)
-    sigma: list[float] = field(default_factory=list)
+    beta: float | np.ndarray
+    w: np.ndarray = field(default_factory=lambda: np.empty(0))
+    q: np.ndarray = field(default_factory=lambda: np.empty(0))
+    de_s: np.ndarray = field(default_factory=lambda: np.empty(0))
+    ds: np.ndarray = field(default_factory=lambda: np.empty(0))
+    sigma: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def record(self, w, q, de_s, ds) -> None:
-        """Append the entries of one collision, or of many as equal-length arrays."""
-        w, q, de_s, ds = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (w, q, de_s, ds))
-        self.w += w.tolist()
-        self.q += q.tolist()
-        self.de_s += de_s.tolist()
-        self.ds += ds.tolist()
-        self.sigma += entropy_production(ds, q, self.beta).tolist()
-
-    @property
-    def n(self) -> int:
-        return len(self.w)
-
-    def cumulative(self, key: str) -> np.ndarray:
-        return np.cumsum(getattr(self, key))
+        """Set the entries of every collision, as (..., n) arrays."""
+        self.w, self.q, self.de_s, self.ds = (np.asarray(x, dtype=float)
+                                              for x in (w, q, de_s, ds))
+        self.sigma = entropy_production(self.ds, self.q, np.asarray(self.beta)[..., None])
 
     def rates(self, key: str) -> np.ndarray:
-        return np.asarray(getattr(self, key)) / self.dt
+        return getattr(self, key) / self.dt
 
     def first_law_residuals(self) -> np.ndarray:
         """dE_S - W + Q per collision; zero up to round-off by unitarity."""
-        return (np.asarray(self.de_s) - np.asarray(self.w) + np.asarray(self.q))
+        return self.de_s - self.w + self.q

@@ -197,6 +197,20 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def test_run_at_large_frequencies_keeps_ergotropy_round_off(tmp_path):
+    # round-off in the ergotropy scales with the energy span of H_S: at
+    # omega = 1e7 it reaches -1.9e-9, far below an absolute 1e-12 floor
+    doc = base_doc(model={"omega_s": 1e7, "omega_a": 1e7, "beta": 0.3})
+    doc["coupling"]["j"] = {"xx": 1.0, "yy": 0.5, "zy": 0.3}
+    doc["run"] = {"n_collisions": 100, "rho0": "ground"}
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    i_ergo = lines[0].split(",").index("ergotropy")
+    assert len(lines) == 102
+    assert min(float(line.split(",")[i_ergo]) for line in lines[1:]) >= 0.0
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("COLLISIM_OUT", str(tmp_path / "envout"))
     cfg_path = write_config(tmp_path, base_doc())

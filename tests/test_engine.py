@@ -99,7 +99,7 @@ def test_run_is_deterministic():
     a, b = run(cfg), run(cfg)
     for ra, rb in zip(a.states, b.states):
         assert np.array_equal(ra, rb)
-    assert a.ledger.w == b.ledger.w
+    assert np.array_equal(a.ledger.w, b.ledger.w)
 
 
 def test_run_semigroup_in_collision_number():
@@ -189,15 +189,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(diagonal_coupling(1.0, 1.0, dt=0.05),
                 rho0=np.diag([0.8, 0.8]).astype(complex))
-
-
-def test_early_stop_truncates_states():
-    cfg = _config(diagonal_coupling(1.0, 1.0, dt=0.05), n=1000,
-                  rho0=pure_state(0.3), convergence_tol=1e-8)
-    traj = run(cfg, early_stop=True)
-    assert traj.converged_at is not None
-    assert len(traj.states) == traj.converged_at + 1
-    assert len(traj.states) < 1001
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from collisim.linalg import (NotAStateError, check_density, clamp_to_density,
-                             exp_minus_i, herm_eig, kron, matrices_close,
+                             exp_minus_i, kron, matrices_close,
                              partial_trace, trace_distance, unvec, vec)
 from collisim.model import I2, SIGMA_X, SIGMA_Z
 
@@ -80,31 +80,6 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError, match="incompatible factorization"):
         partial_trace(np.eye(3, dtype=complex), (2, 2), "S")
-
-
-def test_herm_eig_pauli_z():
-    w, v = herm_eig(SIGMA_Z)
-    assert np.allclose(w, [-1, 1])
-    # ascending order: first column is |g>, second |e>, up to phase
-    assert abs(v[1, 0]) == pytest.approx(1.0)
-    assert abs(v[0, 1]) == pytest.approx(1.0)
-
-
-def test_herm_eig_degenerate_identity():
-    w, v = herm_eig(I2)
-    assert np.allclose(w, [1, 1])
-    assert matrices_close(v.conj().T @ v, I2, 1e-12)
-
-
-def test_herm_eig_reconstruction_batch():
-    rng = np.random.default_rng(15)
-    for _ in range(1000):
-        h = random_hermitian(4, rng, scale=10.0)
-        w, v = herm_eig(h)
-        assert np.all(np.diff(w) >= 0)
-        recon = (v * w) @ v.conj().T
-        assert matrices_close(recon, h, 1e-10)
-        assert matrices_close(v.conj().T @ v, I4, 1e-10)
 
 
 def test_exp_minus_i_zero_time():

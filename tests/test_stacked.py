@@ -1,6 +1,7 @@
 """Properties of the stacked collision-map layer: a grid of P points gives,
 slice by slice, what P separate single-point calls give."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collisim.engine import CollisionConfig, collide_once, collision_map_superoperator
+import collisim.cli as cli
+from collisim.engine import CollisionConfig, collide_once, collision_map_superoperator, run
 from collisim.lindblad import steady_state_of
 from collisim.linalg import PSD_TOL, NotAStateError, clamp_to_density, kron, unvec, vec
 from collisim.model import AncillaPrep, CouplingSpec, QubitHamiltonian
@@ -23,14 +25,20 @@ points = st.integers(1, 5).flatmap(lambda p: st.tuples(
              min_size=p, max_size=p)))
 
 
-def _grid(j, beta, dt, omega_s, omega_a):
-    """The stacked config of the drawn points and the single-point configs."""
-    def config(j, beta):
+def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None):
+    """The stacked config of the drawn points and the single-point configs.
+
+    rho0, if given, is a stack with one state per point.
+    """
+    rho0 = np.array([np.diag([0.9, 0.1]).astype(complex)] * len(beta)) if rho0 is None else rho0
+
+    def config(j, beta, rho0):
         return CollisionConfig(
             hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
             coupling=CouplingSpec(np.reshape(j, np.shape(j)[:-1] + (3, 3)), dt=dt),
-            n_collisions=1, rho0=np.diag([0.9, 0.1]).astype(complex))
-    return config(np.array(j), np.array(beta)), [config(jp, bp) for jp, bp in zip(j, beta)]
+            n_collisions=n, rho0=rho0)
+    return (config(np.array(j), np.array(beta), rho0),
+            [config(*point) for point in zip(j, beta, rho0)])
 
 
 def _maps(cfg):
@@ -105,3 +113,100 @@ def test_stacked_kernel_solve_matches_single_point_reports(grid, omega_s, omega_
             assert math.isnan(rep.beta_eff[k])
         else:
             assert rep.beta_eff[k] == pytest.approx(single.beta_eff, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=points, dt=st.floats(1e-3, 0.3), omega_s=st.floats(-2.0, 2.0),
+       omega_a=st.floats(0.2, 2.0), n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, n, seed):
+    j, beta = grid
+    # every stack mixes finite beta with both zero-temperature limits
+    j, beta = j + [j[0], j[-1]], beta + [math.inf, -math.inf]
+    rng = np.random.default_rng(seed)
+    rho0 = np.array([random_density(2, rng) for _ in beta])
+    stacked, singles = _grid(j, beta, dt, omega_s, omega_a, n, rho0)
+    traj = run(stacked)
+    assert traj.states.shape == (len(beta), n + 1, 2, 2)
+    for k, cfg in enumerate(singles):
+        single = run(cfg)
+        assert np.max(np.abs(traj.states[k] - single.states)) <= 1e-12
+        for key in ("w", "q", "de_s", "ds", "sigma"):
+            assert getattr(traj.ledger, key).shape == (len(beta), n)
+            np.testing.assert_allclose(getattr(traj.ledger, key)[k],
+                                       getattr(single.ledger, key), rtol=0, atol=1e-12)
+
+
+SWEEP_BASE = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+              "coupling": {"j": {"xx": 1.0, "yy": 0.5, "zy": 0.3}, "dt": 0.05},
+              "run": {"n_collisions": 12, "rho0": "fig3"},
+              "output": {"path": "out.csv"}}
+
+
+def _table(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _sweep(tmp_path, axes, name="sweep"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"base": SWEEP_BASE, "axes": axes}))
+    out = tmp_path / name
+    return cli.main(["sweep", "--config", str(path), "--out", str(out)]), out
+
+
+def _counting_runs(monkeypatch):
+    """Record the number of trajectories in each call of the CLI's run."""
+    sizes = []
+
+    def counted(cfg):
+        traj = run(cfg)
+        sizes.append(traj.states[..., 0, 0, 0].size)
+        return traj
+    monkeypatch.setattr(cli, "run", counted)
+    return sizes
+
+
+def test_sweep_split_into_stacks_matches_standalone_runs(tmp_path, monkeypatch):
+    omegas, betas = [0.0, 1.0, 2.5], [0.5, 2.0, 4.0]
+    sizes = _counting_runs(monkeypatch)
+    code, out = _sweep(tmp_path, [{"path": "model.omega_s", "values": omegas},
+                                  {"path": "model.beta", "values": betas}])
+    assert code == 0
+    # the omega_s axis splits the sweep into one stack per value
+    assert sizes == [len(betas)] * len(omegas)
+    header, rows = _table(out / "out_sweep.csv")
+    assert header[2:] == list(cli.RUN_COLUMNS)
+    per_point = SWEEP_BASE["run"]["n_collisions"] + 1
+    assert len(rows) == len(omegas) * len(betas) * per_point
+    for k, (omega_s, beta) in enumerate((o, b) for o in omegas for b in betas):
+        doc = json.loads(json.dumps(SWEEP_BASE))
+        doc["model"].update(omega_s=omega_s, beta=beta)
+        cfg_path, out_k = tmp_path / f"run{k}.json", tmp_path / f"run{k}"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out_k)]) == 0
+        _, expected = _table(out_k / "out.csv")
+        for got, want in zip(rows[k * per_point:(k + 1) * per_point], expected):
+            assert [float(x) for x in got[:2]] == [omega_s, beta]
+            for x, y in zip(got[2:], want):
+                x, y = float(x), float(y)
+                if math.isfinite(y):
+                    assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+                else:
+                    assert x == y or math.isnan(x) and math.isnan(y)
+
+
+def test_sweep_point_failing_in_a_stack_spares_its_neighbours(tmp_path, monkeypatch):
+    def flaky(cfg):
+        if np.any(np.asarray(cfg.ancilla.beta) == 2.0):
+            raise NotAStateError("forced failure")
+        return run(cfg)
+    monkeypatch.setattr(cli, "run", flaky)
+    betas = [0.5, 2.0, 4.0]
+    code, out = _sweep(tmp_path, [{"path": "model.beta", "values": betas}])
+    assert code == 3
+    failures = json.loads((out / "out_sweep_failures.json").read_text())
+    assert failures == [{"point": 1, "axes": {"model.beta": 2.0},
+                         "error": "NotAStateError: forced failure"}]
+    _, rows = _table(out / "out_sweep.csv")
+    per_point = SWEEP_BASE["run"]["n_collisions"] + 1
+    assert [float(row[0]) for row in rows] == [0.5] * per_point + [4.0] * per_point

@@ -61,3 +61,28 @@ def test_benchmark_spans_trace_a_figure_command(tmp_path):
     # the coherence grid is one stacked propagation
     assert stats["engine.propagate_collisions"]["calls"] == 1
     assert stats["cli.write_table"]["rows"] == 5 * 65 + 4 * 1001
+
+
+def test_benchmark_spans_trace_a_sweep(tmp_path):
+    spans = _load_spans()
+    n = 10
+    doc = {"base": {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+                    "coupling": {"j": {"xx": 1.0, "yy": 0.0}, "dt": 0.05},
+                    "run": {"n_collisions": n, "rho0": "fig3"},
+                    "output": {"path": "sweep.csv", "format": "csv"}},
+           "axes": [{"path": "model.beta", "values": [0.5, 2.0]},
+                    {"path": "coupling.j.yy", "values": [-1.0, 1.0]}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    tracer = spans.Tracer(str(tmp_path / "workers"))
+    try:
+        spans.install(tracer)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--parallel", "2"]) == 0
+    finally:
+        tracer.unpatch()
+    stats = tracer.stats
+    for label in ("cli.sweep", "config.sweep_points", "config.parse_run_config",
+                  "cli.trajectory_rows", "engine.run"):
+        assert stats[label]["calls"] >= 1, label
+    assert stats["cli.write_table"]["rows"] == 2 * 2 * (n + 1)
