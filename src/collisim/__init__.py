@@ -3,9 +3,8 @@
 from .engine import (CollisionConfig, NoSteadyStateError, Trajectory,
                      collide_once, propagate_collisions, run,
                      steady_state_by_iteration)
-from .lindblad import (GKSLGenerator, Superoperator, apply_generator,
-                       build_generator, evolve_continuous, steady_state_kernel,
-                       steady_state_of, vectorize)
+from .lindblad import (GKSLGenerator, build_generator, evolve_continuous,
+                       steady_state_kernel, steady_state_of, vectorize)
 from .linalg import (clamp_to_density, exp_minus_i, kron, partial_trace,
                      trace_distance)
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,

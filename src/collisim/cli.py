@@ -13,6 +13,7 @@ significant digits; the column sets are frozen and documented in README.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -182,9 +183,7 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
             # non-unique family: the usable state depends on the initial
             # condition, so fall back to iterating from the configured rho0
             doc["note"] = "non-unique steady state; initial-state dependent"
-            iter_rep = steady_state_by_iteration(cfg.collision_config())
-            doc["iteration"] = report_to_dict(iter_rep)
-    if method in ("iteration", "both") and iter_rep is None:
+    if method in ("iteration", "both") or "note" in doc:
         iter_rep = steady_state_by_iteration(cfg.collision_config())
         doc["iteration"] = report_to_dict(iter_rep)
     if kernel_rep is not None and iter_rep is not None:
@@ -214,7 +213,7 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
         results += group if isinstance(group[0], str) else _stack_rows(group)
 
     axis_paths = [ax.path for ax in sweep.axes]
-    columns = axis_paths + list(RUN_COLUMNS)
+    columns = axis_paths + list(base_cfg.quantities)
     merged: list[list] = []
     failures: list[dict] = []
     for i, (axis_values, res) in enumerate(zip(product(*(ax.values for ax in sweep.axes)),
@@ -223,9 +222,10 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
             failures.append({"point": i, "axes": dict(zip(axis_paths, axis_values)),
                              "error": res})
             continue
-        for row in res:
+        rows = _select_columns(res, base_cfg.quantities)
+        for row in rows:
             row[:0] = axis_values
-        merged += res
+        merged += rows
 
     stem = os.path.splitext(os.path.basename(base_cfg.out_path))[0] or "sweep"
     path = _out_path(out_dir, stem + "_sweep." + ("csv" if fmt_ == "csv" else "json"))
@@ -363,6 +363,7 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
 _write_mixed_table = write_table
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collisim",
@@ -428,10 +429,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoSteadyStateError, NotAStateError) as exc:

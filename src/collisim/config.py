@@ -183,6 +183,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     omega_s = _number(model["omega_s"], "model.omega_s")
     omega_a = _number(model["omega_a"], "model.omega_a")
     beta = _number(model["beta"], "model.beta", allow_inf=True)
+    if omega_a == 0 and math.isinf(beta):
+        raise ConfigError("model.beta: +-inf needs omega_a != 0 (no zero-temperature state)")
 
     coupling = _parse_coupling(doc["coupling"], "coupling")
 

@@ -8,12 +8,12 @@ single configuration is a stack of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import observables
+from .lindblad import kernel_part, kernel_state
 from .linalg import (clamp_to_density, check_density, dagger, kron,
                      matrices_close, partial_trace, trace_distance, vec, unvec)
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
@@ -22,15 +22,16 @@ from .thermo import (ThermoLedger, expectation, heat_operator, spectral_entropy,
                      work_operator)
 
 
+# Phi has entries of order 1: below this, s(Phi - I) and 1 - |lambda| are round-off.
+FIXED_POINT_FLOOR = 16 * np.finfo(float).eps
+
+
 class NoSteadyStateError(RuntimeError):
-    """Iteration hit the collision budget before meeting the tolerance."""
+    """The iterated state has no limit, or its fixed point misses the tolerance."""
 
     def __init__(self, msg: str, residual: float):
         super().__init__(msg)
         self.residual = residual
-
-
-MAX_COLLISIONS = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,41 +153,36 @@ def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
 
 def steady_state_by_iteration(config: CollisionConfig,
                               tol: float | None = None) -> "observables.SteadyStateReport":
-    """Iterate collisions until the per-unit-time update drops below tol.
+    """The limit of Phi^n rho0, solved directly as the kernel of Phi - I.
 
-    Convergence criterion: trace_distance(rho_{n+1}, rho_n) < tol * dt, so
-    the detected state does not depend on the dt resolution. Collisions are
-    applied in blocks through powers of the (exact) one-collision map; the
-    criterion is evaluated on consecutive states. A budget of 10^6
-    collisions is never exceeded.
+    A degenerate eigenvalue-1 space of Phi gives the spectral projection of
+    rho0 onto it. Weight of rho0 on another eigenvalue of modulus 1 never
+    decays: there is no limit (NoSteadyStateError). residual bounds the
+    distance to the fixed point by trace_distance(Phi rho, rho) / (1 - |l2|),
+    l2 the largest decaying eigenvalue of Phi outside that space. As for a
+    converged iteration, one collision must move the state by less than
+    tol * dt, or NoSteadyStateError is raised.
     """
-    if tol is None:
-        tol = config.convergence_tol
+    tol = config.convergence_tol if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
     dt = config.coupling.dt
     phi = collision_map_superoperator(config.unitary(), config.ancilla.state())
-    rho = config.rho0.astype(complex)
-    n_done = 0
-    block = 1
-    residual = math.inf
-    while n_done < MAX_COLLISIONS:
-        block = min(block, MAX_COLLISIONS - n_done)
-        phi_block = np.linalg.matrix_power(phi, block)
-        rho_prev_vec = vec(rho)
-        rho_block = unvec(phi_block @ rho_prev_vec)
-        # one extra collision on top of the block gives the consecutive pair
-        rho_next = unvec(phi @ vec(rho_block))
-        n_done += block + 1
-        step = trace_distance(clamp_to_density(rho_next), clamp_to_density(rho_block))
-        residual = step / dt
-        rho = clamp_to_density(rho_next)
-        if step < tol * dt:
-            return observables.make_report(rho, config.hs, method="iteration",
-                                           residual=residual, degenerate=False)
-        if block < 2 ** 16:
-            block *= 2
-    raise NoSteadyStateError(
-        f"no steady state within budget: residual {residual:.3e} after {n_done} collisions",
-        residual,
-    )
+    rho, dim = kernel_state(phi - np.eye(4), config.rho0, FIXED_POINT_FLOOR)
+    # the eigenvalues of Phi outside its eigenvalue-1 space, and those that never decay
+    w = np.linalg.eigvals(phi)
+    w = w[np.argsort(np.abs(w - 1))[max(dim, 1):]]
+    rotating = 1 - np.abs(w) <= FIXED_POINT_FLOOR
+    for lam in w[rotating]:
+        part = kernel_part(phi - lam * np.eye(4), vec(config.rho0), FIXED_POINT_FLOOR)
+        motion = abs(lam - 1) * np.linalg.norm(part)
+        if motion >= tol * dt:
+            raise NoSteadyStateError(f"no steady state: rho0 rotates by {motion:.3e} per collision"
+                                     f" at the eigenvalue {lam:.6g} of modulus 1", motion / dt)
+    step = trace_distance(unvec(phi @ vec(rho)), rho)
+    residual = float(step / (1 - np.max(np.abs(w[~rotating]), initial=0.0)))
+    if step >= tol * dt:
+        raise NoSteadyStateError(
+            f"fixed point moves {step:.3e} under one collision, not below tol * dt", residual)
+    return observables.make_report(rho, config.hs, method="iteration",
+                                   residual=residual, degenerate=dim > 1)

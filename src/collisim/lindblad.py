@@ -13,7 +13,6 @@ Stacked couplings or ancillas give stacks of generators and steady states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,35 +63,8 @@ def build_generator(coupling: CouplingSpec, hs: QubitHamiltonian,
     return GKSLGenerator(h_sys=hs.matrix(), jumps=tuple(PAULIS[l] for l in rows), rates=rates)
 
 
-def apply_generator(gen: GKSLGenerator, rho: np.ndarray) -> np.ndarray:
-    """L(rho): traceless Hermitian time derivative of the state."""
-    out = -1j * (gen.h_sys @ rho - rho @ gen.h_sys)
-    for jj, s_j in enumerate(gen.jumps):
-        for kk, s_k in enumerate(gen.jumps):
-            g = gen.rates[jj, kk]
-            if g == 0:
-                continue
-            sks = dagger(s_k) @ s_j
-            out = out + g * (s_j @ rho @ dagger(s_k) - 0.5 * (sks @ rho + rho @ sks))
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """d^2 x d^2 matrix acting on column-stacked states."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(math.sqrt(self.matrix.shape[-1])))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec((self.matrix @ vec(rho)[..., None])[..., 0])
-
-
-def vectorize(gen: GKSLGenerator) -> Superoperator:
-    """Column-stacking representation: vec(A rho B) = (B^T kron A) vec(rho)."""
+def vectorize(gen: GKSLGenerator) -> np.ndarray:
+    """L as a d^2 x d^2 matrix on column-stacked states: vec(A rho B) = (B^T kron A) vec(rho)."""
     d = gen.h_sys.shape[0]
     eye = np.eye(d, dtype=complex)
     h = gen.h_sys
@@ -102,31 +74,61 @@ def vectorize(gen: GKSLGenerator) -> Superoperator:
     # the dissipator term of rates[j, k]
     terms = kron(s_k.conj(), s_j) - 0.5 * (kron(eye, sks) + kron(sks.swapaxes(-1, -2), eye))
     m = -1j * (kron(eye, h) - kron(h.T, eye))
-    return Superoperator(matrix=m + np.einsum("...jk,jkab->...ab", gen.rates, terms))
+    return m + np.einsum("...jk,jkab->...ab", gen.rates, terms)
 
 
-def steady_state_kernel(superop: Superoperator,
-                        hs: QubitHamiltonian | None = None) -> SteadyStateReport:
-    """Steady state as the kernel of the generator (or of each of a stack), via SVD.
-
-    The right-singular vector of the smallest singular value, Hermitized and
-    trace-normalized, is rho*. When the two smallest singular values both
-    fall below DEGENERACY_TOL times the total decay rate -Re Tr L (4 Tr gamma
-    for Pauli jumps), so that weak couplings are judged on their own scale,
-    the steady state is non-unique and the report is flagged degenerate
-    (pick by iteration from a definite initial state instead).
+def kernel_part(m: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
+    """Spectral projection of v onto the kernel of one matrix m, along its other
+    invariant subspaces: R (L^dag R)^-1 L^dag v, with R and L the right and left
+    singular vectors of the singular values <= floor (at least one). The zero
+    eigenvalue must be semisimple, as the eigenvalues of modulus 1 of a channel are.
     """
-    m = superop.matrix
+    u, s, vh = np.linalg.svd(m)
+    k = max(int(np.sum(s <= floor)), 1)
+    r, l = dagger(vh[-k:]), dagger(u[:, -k:])
+    return r @ np.linalg.solve(l @ r, l @ v)
+
+
+def kernel_state(m: np.ndarray, rho_ref: np.ndarray | None = None,
+                 floor: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states as the kernel of m (or of each of a stack), via one SVD.
+
+    m is a generator L, or a collision map minus the identity. rho* is the
+    right-singular vector of the smallest singular value, Hermitized and
+    trace-normalized. Singular values <= floor count as zero; the default
+    floor, DEGENERACY_TOL times the total decay rate -Re Tr m (4 Tr gamma for
+    Pauli jumps of L), judges weak couplings on their own scale. A kernel of
+    dimension above 1 is degenerate; there rho* is the spectral projection of
+    rho_ref, when given. Returns rho* and the dimension of each kernel.
+    """
     _, s, vh = np.linalg.svd(m)
-    raw = hermitize(unvec(vh[..., -1, :].conj()))
+    if floor is None:
+        floor = DEGENERACY_TOL * -np.trace(m, axis1=-2, axis2=-1).real
+    dim = np.sum(s <= np.asarray(floor)[..., None], axis=-1)
+    raw = vh[..., -1, :].conj()
+    if rho_ref is not None and np.any(dim > 1):
+        ref = np.broadcast_to(vec(rho_ref), raw.shape)
+        floor = np.broadcast_to(floor, dim.shape)
+        for idx in map(tuple, np.argwhere(dim > 1)):
+            raw[idx] = kernel_part(m[idx], ref[idx], floor[idx])
+    raw = hermitize(unvec(raw))
     tr = np.trace(raw, axis1=-2, axis2=-1).real
     if np.min(np.abs(tr)) < 1e-12:
         raise ValueError("kernel vector has vanishing trace; cannot normalize to a state")
-    rho = clamp_to_density(raw / tr[..., None, None])
-    degenerate = s[..., -2] <= DEGENERACY_TOL * -np.trace(m, axis1=-2, axis2=-1).real
-    residual = np.max(np.abs(superop.apply(rho)), axis=(-2, -1))
+    return clamp_to_density(raw / tr[..., None, None]), dim
+
+
+def steady_state_kernel(m: np.ndarray,
+                        hs: QubitHamiltonian | None = None) -> SteadyStateReport:
+    """Steady state from kernel_state of the vectorized generator m (or a stack).
+
+    A degenerate report holds an arbitrary vector of the kernel: pick by
+    iteration from a definite initial state instead.
+    """
+    rho, dim = kernel_state(m)
+    residual = np.max(np.abs(m @ vec(rho)[..., None]), axis=(-2, -1))
     return make_report(rho, hs or QubitHamiltonian(0.0), method="kernel",
-                       residual=residual, degenerate=degenerate)
+                       residual=residual, degenerate=dim > 1)
 
 
 def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,
@@ -144,5 +146,5 @@ def evolve_continuous(gen: GKSLGenerator, rho0: np.ndarray, t: float) -> np.ndar
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    prop = scipy.linalg.expm(t * vectorize(gen).matrix)
+    prop = scipy.linalg.expm(t * vectorize(gen))
     return clamp_to_density(unvec(prop @ vec(rho0.astype(complex))))

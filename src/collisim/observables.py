@@ -68,10 +68,11 @@ class SteadyStateReport:
 
     beta_eff is None when the state carries more than COHERENCE_THRESHOLD
     of l1-coherence (populations alone do not define a temperature then).
-    residual is ||L(rho*)||_max for the kernel method and the final
-    per-unit-time trace-distance update for iteration. degenerate marks a
-    non-unique steady state (initial-state dependent). A report on a stack
-    of steady states holds arrays, with nan for a suppressed beta_eff.
+    residual is ||L(rho*)||_max for the kernel method; for iteration, the
+    bound trace_distance(Phi rho*, rho*) / (1 - |l2|) on the distance to the
+    fixed point of the collision map (see steady_state_by_iteration).
+    degenerate marks a non-unique steady state (initial-state dependent). A
+    report on a stack holds arrays, with nan for a suppressed beta_eff.
     """
 
     rho_star: np.ndarray

@@ -187,14 +187,25 @@ def test_exit_code_2_on_unwritable_path(tmp_path):
 
 
 def test_exit_code_3_on_numerical_failure(tmp_path):
-    # Hamiltonian-only dynamics from a coherent state never meets the
-    # steady-state criterion: iteration exhausts its budget
+    # Hamiltonian-only dynamics from a coherent state precesses forever:
+    # the iterated state has no limit
     doc = base_doc()
     doc["coupling"]["j"] = {}
     doc["run"]["rho0"] = "plus"
     cfg_path = write_config(tmp_path, doc)
     assert main(["steady", "--config", cfg_path, "--method", "iteration",
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("beta", ["inf", "-inf"])
+@pytest.mark.parametrize("command", ["run", "steady"])
+def test_zero_temperature_needs_a_nondegenerate_ancilla(tmp_path, capsys, command, beta):
+    doc = base_doc(model={"omega_s": 1.0, "omega_a": 0.0, "beta": beta})
+    with pytest.raises(ConfigError, match="omega_a"):
+        parse_run_config(doc)
+    cfg_path = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert "config error: model.beta" in capsys.readouterr().err
 
 
 def test_run_at_large_frequencies_keeps_ergotropy_round_off(tmp_path):
@@ -315,6 +326,38 @@ def test_sweep_failed_point_recorded_exit_3(tmp_path):
     assert failures[0]["point"] == 1
     lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 6  # good point only: header + 5+1 states
+
+
+def test_sweep_point_with_a_degenerate_zero_temperature_ancilla_fails_alone(tmp_path):
+    doc = sweep_doc([{"path": "model.omega_a", "values": [1.0, 0.0]}], n=5)
+    doc["base"]["model"]["beta"] = "inf"
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 3
+    failures = json.loads((tmp_path / "out_sweep_failures.json").read_text())
+    assert [f["point"] for f in failures] == [1]
+    assert failures[0]["error"].startswith("ConfigError: model.beta")
+    lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 6
+
+
+def test_sweep_writes_the_selected_quantities(tmp_path):
+    doc = sweep_doc([{"path": "model.beta", "values": [1.0, 2.0]}], n=4)
+    doc["base"]["output"]["quantities"] = ["n", "t", "pop_e"]
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
+    assert lines[0] == "model.beta,n,t,pop_e"
+    assert len(lines) == 1 + 2 * 5
+    full = sweep_doc([{"path": "model.beta", "values": [1.0, 2.0]}], n=4)
+    full["base"]["output"]["path"] = "full.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, full, "full.json"),
+                 "--out", str(tmp_path)]) == 0
+    full_lines = (tmp_path / "full_sweep.csv").read_text().splitlines()
+    header = full_lines[0].split(",")
+    idx = [header.index(c) for c in lines[0].split(",")]
+    for line, full_line in zip(lines[1:], full_lines[1:]):
+        cells = full_line.split(",")
+        assert line == ",".join(cells[k] for k in idx)
 
 
 def test_sweep_axis_path_typo_is_config_error(tmp_path, capsys):

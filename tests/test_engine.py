@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collisim.cli import main
+from collisim.config import parse_run_config
 from collisim.engine import (CollisionConfig, NoSteadyStateError, collide_once,
                              collision_map_superoperator, propagate_collisions,
                              run, steady_state_by_iteration)
-from collisim.linalg import NotAStateError, kron, matrices_close, trace_distance
+from collisim.linalg import (NotAStateError, kron, matrices_close, trace_distance,
+                             unvec, vec)
 from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
                             bloch_state, build_interaction, diagonal_coupling,
                             gibbs_state, pure_state, ssc_coupling)
@@ -175,12 +179,78 @@ def test_pure_dephasing_keeps_initial_populations():
     assert trace_distance(rep_a.rho_star, rep_b.rho_star) > 0.4
 
 
-def test_iteration_runs_out_of_budget_without_dissipation():
-    # coherent precession never meets a per-unit-time criterion
+def test_iteration_has_no_limit_for_a_precessing_state_without_dissipation():
+    # without coupling, the coherence of rho0 precesses forever: Phi^n rho0
+    # has no limit, because rho0 has weight on eigenvalues exp(-+i omega dt)
     cfg = _config(diagonal_coupling(0.0, 0.0, dt=0.05), rho0=pure_state(0.4))
-    with pytest.raises(NoSteadyStateError) as err:
+    with pytest.raises(NoSteadyStateError, match="modulus 1") as err:
         steady_state_by_iteration(cfg)
     assert err.value.residual > 0
+
+
+def test_steady_without_coupling_keeps_a_diagonal_state_and_fails_a_coherent_one(tmp_path):
+    # a pure rotation: populations are conserved and coherences precess
+    doc = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+           "coupling": {"j": {}, "dt": 0.05},
+           "run": {"n_collisions": 10, "rho0": {"bloch": [0.0, 0.0, 0.6]}},
+           "output": {"path": "free.json"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(cfg_path), "--method", "both",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "free_steady.json").read_text())["iteration"]
+    assert report["rho_star"] == [[[0.8, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.2, 0.0]]]
+    assert report["degenerate"] and report["residual"] == 0.0
+    doc["run"]["rho0"] = "plus"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(cfg_path), "--method", "both",
+                 "--out", str(tmp_path)]) == 3
+
+
+def test_iteration_under_pure_dephasing_is_the_limit_of_many_collisions():
+    # only J_zy: the eigenvalue-1 space holds the diagonal states, and the
+    # coherence decays; the answer is the spectral projection of rho0
+    cfg = _config(ssc_coupling(0.0, 0.0, 1.0, dt=0.05), rho0=pure_state(0.4))
+    rep = steady_state_by_iteration(cfg)
+    phi = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state())
+    limit = unvec(np.linalg.matrix_power(phi, 10 ** 6) @ vec(cfg.rho0))
+    assert rep.degenerate
+    # the power carries round-off of about 10^6 eps on the populations
+    assert np.max(np.abs(rep.rho_star - limit)) <= 1e-9
+    assert abs(limit[0, 1]) <= 1e-15
+    assert rep.rho_star[0, 0].real == pytest.approx(math.cos(0.4) ** 2, abs=1e-12)
+
+
+# Weakly coupled configs whose relaxation gap 1 - |l2(Phi)| is 1.5e-6 to
+# 6.3e-6: iterating collisions to a per-step criterion cannot reach them
+WEAK_COUPLINGS = (
+    {"j": {"xx": 0.01, "yy": 0.005}},
+    {"j": {"xx": 0.005, "yy": 0.002}},
+    {"j": {"xx": 0.007, "yy": 0.007}},
+    {"j": {"xx": 0.004, "yy": 0.004}},
+    {"ssc": {"alpha": 0.7, "gamma": 0.4, "magnitude": 0.01}},
+    {"ssc": {"alpha": 0.3, "gamma": -1.2, "magnitude": 0.006}},
+    {"j": {"xx": 0.006, "xy": -0.003, "yy": 0.004, "zy": 0.002, "zz": 0.003}},
+    {"j": {"xx": -0.004, "yz": 0.005, "yy": 0.006, "zx": 0.003}},
+)
+
+
+@pytest.mark.parametrize("coupling", WEAK_COUPLINGS)
+def test_weak_coupling_steady_state_is_a_fixed_point(tmp_path, coupling):
+    doc = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+           "coupling": dict(coupling, dt=0.05, scaling="sqrt_dt"),
+           "run": {"n_collisions": 1000, "rho0": "fig3"},
+           "output": {"path": "weak.json"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(cfg_path), "--method", "both",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "weak_steady.json").read_text())["iteration"]
+    rho = np.array([[complex(*report["rho_star"][r][c]) for c in range(2)] for r in range(2)])
+    cfg = parse_run_config(doc).collision_config()
+    phi = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state())
+    assert trace_distance(unvec(phi @ vec(rho)), rho) <= 1e-14
+    assert 0.0 <= report["residual"] < 1e-6
 
 
 def test_config_validation():

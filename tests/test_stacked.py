@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collisim.cli as cli
-from collisim.engine import CollisionConfig, collide_once, collision_map_superoperator, run
+from collisim.engine import (CollisionConfig, NoSteadyStateError, collide_once,
+                             collision_map_superoperator, run, steady_state_by_iteration)
 from collisim.lindblad import steady_state_of
-from collisim.linalg import PSD_TOL, NotAStateError, clamp_to_density, kron, unvec, vec
+from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density, kron,
+                             trace_distance, unvec, vec)
 from collisim.model import AncillaPrep, CouplingSpec, QubitHamiltonian
 
 from conftest import random_density
@@ -134,6 +136,33 @@ def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, 
             assert getattr(traj.ledger, key).shape == (len(beta), n)
             np.testing.assert_allclose(getattr(traj.ledger, key)[k],
                                        getattr(single.ledger, key), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(j=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+       beta=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
+       dt=st.floats(1e-3, 0.3), omega_s=st.floats(-2.0, 2.0), omega_a=st.floats(0.2, 2.0),
+       seed=st.integers(0, 2 ** 16))
+def test_iterated_state_is_the_limit_of_the_collision_map(j, beta, dt, omega_s, omega_a, seed):
+    n = 10 ** 4
+    (cfg,) = _grid([j], [beta], dt, omega_s, omega_a,
+                   rho0=np.array([random_density(2, np.random.default_rng(seed))]))[1]
+    phi = _maps(cfg)
+    after_n = unvec(np.linalg.matrix_power(phi, n) @ vec(cfg.rho0))
+    try:
+        rep = steady_state_by_iteration(cfg)
+    except NoSteadyStateError:
+        # no limit: n collisions later, one more still moves the state
+        step = trace_distance(unvec(phi @ vec(after_n)), after_n)
+        assert step >= 0.5 * cfg.convergence_tol * dt
+        return
+    rho = rep.rho_star
+    check_density(rho)
+    assert trace_distance(unvec(phi @ vec(rho)), rho) <= 1e-13
+    assert math.isfinite(rep.residual) and rep.residual >= 0
+    moduli = np.sort(np.abs(np.linalg.eigvals(phi)))
+    if moduli[-2] ** n < 1e-14:
+        assert trace_distance(rho, after_n) <= 1e-10
 
 
 SWEEP_BASE = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},

@@ -230,7 +230,8 @@ def test_heat_sign_during_thermalization_transient():
 def test_steady_sigma_rate_equals_beta_heat_current():
     # at the kernel steady state the entropy rate of the system vanishes,
     # so the continuum sigma rate reduces to beta * Q_dot
-    from collisim.lindblad import apply_generator, build_generator, steady_state_of
+    from collisim.lindblad import build_generator, steady_state_of, vectorize
+    from collisim.linalg import unvec, vec
     rng = np.random.default_rng(45)
     hs = QubitHamiltonian(1.0)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -242,7 +243,7 @@ def test_steady_sigma_rate_equals_beta_heat_current():
         gen = build_generator(coupling, hs, anc)
         w, v = np.linalg.eigh(rep.rho_star)
         log_rho = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
-        ds_dt = -np.trace(apply_generator(gen, rep.rho_star) @ log_rho).real
+        ds_dt = -np.trace(unvec(vectorize(gen) @ vec(rep.rho_star)) @ log_rho).real
         q_dot = heat_current(coupling, anc, rep.rho_star)
         sigma_rate = ds_dt + anc.beta * q_dot
         assert abs(sigma_rate - anc.beta * q_dot) < 1e-8

@@ -86,3 +86,29 @@ def test_benchmark_spans_trace_a_sweep(tmp_path):
                   "cli.trajectory_rows", "engine.run"):
         assert stats[label]["calls"] >= 1, label
     assert stats["cli.write_table"]["rows"] == 2 * 2 * (n + 1)
+
+
+def test_benchmark_spans_trace_a_steady(tmp_path):
+    spans = _load_spans()
+    doc = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+           "coupling": {"j": {"xx": 1.0, "yy": 0.5}, "dt": 0.05},
+           "run": {"n_collisions": 20, "rho0": "fig3"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    tracer = spans.Tracer(str(tmp_path / "workers"))
+    try:
+        spans.install(tracer)
+        assert main(["steady", "--config", str(cfg_path), "--method", "both",
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.unpatch()
+    assert collisim.cli.steady_state_by_iteration is collisim.engine.steady_state_by_iteration
+    stats = tracer.stats
+    assert stats["cli.steady"]["calls"] == 1
+    assert stats["engine.steady_state_by_iteration"]["calls"] == 1
+    assert stats["engine.steady_state_by_iteration"]["failed"] == 0
+    assert stats["lindblad.steady_state_of"]["calls"] == 1
+    # one report per method: the iteration's through observables, the
+    # kernel's through the binding in lindblad; both under one label
+    assert stats["observables.make_report"]["calls"] == 2
+    assert stats["linalg.clamp_to_density"]["calls"] == 2
