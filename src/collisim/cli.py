@@ -6,8 +6,9 @@ or the working directory. Exit codes: 0 ok, 2 configuration error,
 3 numerical failure.
 
 Output is deterministic: identical configs give byte-identical files.
-Floats are formatted in scientific notation with 17
-significant digits; the column sets are frozen and documented in README.
+Every table is a NumPy record array; integer fields are written as
+integers, floats in scientific notation with 17 significant digits and
+strings as they are. The column sets are frozen and documented in README.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ EXIT_NUMERICAL = 3
 
 ENV_OUT_DIR = "COLLISIM_OUT"
 
-# CSV rows formatted and written at a time: bounds the text held in memory.
+# Rows formatted and written at a time: bounds the text held in memory.
 WRITE_BATCH = 1000
+
+# The printf conversion of a table field, by dtype kind.
+CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.16e", "U": "%s"}
+
+# One record of a trajectory table: the collision index, then floats.
+RUN_DTYPE = np.dtype([(name, np.int64 if name == "n" else np.float64) for name in RUN_COLUMNS])
 
 # Documented figure presets (frequencies in units of omega_s = 1).
 FIG_DT = 0.05
@@ -57,31 +64,28 @@ ERGO_ALPHAS = tuple(k * math.pi / 64 for k in range(33))
 ERGO_GAMMAS = tuple(-math.pi / 2 + k * math.pi / 32 for k in range(33))
 
 
-def fmt(x) -> str:
-    """Frozen float format: 17 significant digits, scientific notation.
+def write_table(path: str, columns: list[str], table: np.ndarray, out_format: str) -> None:
+    """Write a record array under the header `columns`, one printf template per row.
 
-    Integers are written as integers and strings (state names) as they are.
+    JSON holds each cell as a string, as `json.dump(doc, indent=1)` lays it
+    out, so string fields must need no JSON escaping (state names).
     """
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return f"{float(x):.16e}"
-
-
-def write_table(path: str, columns: list[str], rows: list[list], out_format: str) -> None:
+    convs = [CONVERSIONS[table.dtype[k].kind] for k in range(len(table.dtype))]
     if out_format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for start in range(0, len(rows), WRITE_BATCH):
-                fh.write("".join(",".join(fmt(v) for v in row) + "\n"
-                                 for row in rows[start:start + WRITE_BATCH]))
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(convs) + "\n", "", ""
     else:
-        doc = {"columns": columns,
-               "rows": [[fmt(v) for v in row] for row in rows]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        # the layout of json.dump(doc, indent=1), streamed row by row
+        head, tail = json.dumps({"columns": columns, "rows": []}, indent=1).rsplit("[]", 1)
+        head, tail = (head + "[\n", "\n ]" + tail) if len(table) else (head + "[]", tail)
+        tail += "\n"
+        row = "  [\n" + ",\n".join(f'   "{c}"' for c in convs) + "\n  ]" if convs else "  []"
+        sep = ",\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for start in range(0, len(table), WRITE_BATCH):
+            fh.write((sep if start else "") + sep.join(
+                map(row.__mod__, table[start:start + WRITE_BATCH].tolist())))
+        fh.write(tail)
 
 
 def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
@@ -97,17 +101,8 @@ def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
     return np.where(p_e <= 0, math.inf, np.where(p_g <= 0, -math.inf, out))
 
 
-def trajectory_rows(cfg: CollisionConfig) -> list[list]:
-    """One row per recorded state, each trajectory of a stack in turn, in RUN_COLUMNS order."""
-    # the column arrays die with _trajectory_table, before the rows are built
-    rows = _trajectory_table(cfg).reshape(-1, len(RUN_COLUMNS)).tolist()
-    for row in rows:
-        row[0] = int(row[0])
-    return rows
-
-
-def _trajectory_table(cfg: CollisionConfig) -> np.ndarray:
-    """The RUN_COLUMNS of each recorded state as floats: (..., n + 1, 22)."""
+def trajectory_rows(cfg: CollisionConfig) -> np.ndarray:
+    """RUN_DTYPE records, one per recorded state, each trajectory of a stack in turn."""
     traj = run(cfg)
     rhos = traj.states
     dt = cfg.coupling.dt
@@ -128,14 +123,19 @@ def _trajectory_table(cfg: CollisionConfig) -> np.ndarray:
         w / dt, q / dt, sigma / dt,
         cur_w, cur_q,
     ]
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    table = np.empty(np.broadcast_shapes(*(np.shape(c) for c in columns)), RUN_DTYPE)
+    for name, column in zip(RUN_COLUMNS, columns):
+        table[name] = column
+    return table.reshape(-1)
 
 
-def _select_columns(rows: list[list], quantities: tuple[str, ...]) -> list[list]:
-    if tuple(quantities) == RUN_COLUMNS:
-        return rows
-    idx = [RUN_COLUMNS.index(q) for q in quantities]
-    return [[row[k] for k in idx] for row in rows]
+def _fields(table: np.ndarray, names) -> np.ndarray:
+    """A view of the named fields of a record array, in order; names may repeat."""
+    dt = table.dtype
+    return table.view(np.dtype({"names": [f"f{k}" for k in range(len(names))],
+                                "formats": [dt[name] for name in names],
+                                "offsets": [dt.fields[name][1] for name in names],
+                                "itemsize": dt.itemsize}))
 
 
 def resolve_out_dir(arg_out: str | None) -> str:
@@ -151,9 +151,9 @@ def _out_path(out_dir: str, name: str) -> str:
 def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
     """Write the trajectory table; returns the file path."""
     fmt_ = out_format or cfg.out_format
-    rows = _select_columns(trajectory_rows(cfg.collision_config()), cfg.quantities)
+    table = _fields(trajectory_rows(cfg.collision_config()), cfg.quantities)
     path = _out_path(out_dir, cfg.out_path)
-    write_table(path, list(cfg.quantities), rows, fmt_)
+    write_table(path, list(cfg.quantities), table, fmt_)
     return path
 
 
@@ -213,23 +213,21 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
         results += group if isinstance(group[0], str) else _stack_rows(group)
 
     axis_paths = [ax.path for ax in sweep.axes]
-    columns = axis_paths + list(base_cfg.quantities)
-    merged: list[list] = []
-    failures: list[dict] = []
-    for i, (axis_values, res) in enumerate(zip(product(*(ax.values for ax in sweep.axes)),
-                                               results)):
-        if isinstance(res, str):
-            failures.append({"point": i, "axes": dict(zip(axis_paths, axis_values)),
-                             "error": res})
-            continue
-        rows = _select_columns(res, base_cfg.quantities)
-        for row in rows:
-            row[:0] = axis_values
-        merged += rows
+    failures = [{"point": i, "axes": dict(zip(axis_paths, axis_values)), "error": res}
+                for i, (axis_values, res) in enumerate(zip(
+                    product(*(ax.values for ax in sweep.axes)), results))
+                if isinstance(res, str)]
+    tables = [np.empty(0, RUN_DTYPE) if isinstance(res, str) else res for res in results]
+    merged = np.concatenate(tables)
+    # an axis column holds integers only if all its values are ints (of int64 range)
+    axes = (np.array(ax.values) for ax in sweep.axes)
+    grid = _grid(*(a.astype(float) if a.dtype == object else a for a in axes))
+    table = np.rec.fromarrays([np.repeat(g, [len(t) for t in tables]) for g in grid]
+                              + [merged[q] for q in base_cfg.quantities])
 
     stem = os.path.splitext(os.path.basename(base_cfg.out_path))[0] or "sweep"
     path = _out_path(out_dir, stem + "_sweep." + ("csv" if fmt_ == "csv" else "json"))
-    write_table(path, columns, merged, fmt_)
+    write_table(path, axis_paths + list(base_cfg.quantities), table, fmt_)
     if failures:
         fail_path = _out_path(out_dir, stem + "_sweep_failures.json")
         with open(fail_path, "w", encoding="utf-8") as fh:
@@ -254,14 +252,14 @@ def _stack_key(cfg):
 
 
 def _stack_rows(cfgs: list[RunConfig]) -> list:
-    """Trajectory rows of each point of a stack, or the error of a point.
+    """The trajectory table of each point of a stack, or the error of a point.
 
     When the stack fails, its points run alone, so that only the failing
     ones are lost.
     """
     first = cfgs[0]
     try:
-        rows = trajectory_rows(CollisionConfig(
+        table = trajectory_rows(CollisionConfig(
             hs=first.hs(),
             ancilla=AncillaPrep(np.array([c.beta for c in cfgs]), first.omega_a),
             coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]),
@@ -271,8 +269,7 @@ def _stack_rows(cfgs: list[RunConfig]) -> list:
         if len(cfgs) == 1:
             return [f"{type(exc).__name__}: {exc}"]
         return [res for c in cfgs for res in _stack_rows([c])]
-    per_point = len(rows) // len(cfgs)
-    return [rows[k:k + per_point] for k in range(0, len(rows), per_point)]
+    return list(table.reshape(len(cfgs), -1))
 
 
 def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
@@ -293,17 +290,17 @@ def cmd_fig3(out_dir: str) -> list[str]:
     beta, ratio = _grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
     rep = steady_state_of(diagonal_coupling(1.0, ratio, FIG_DT), QubitHamiltonian(1.0),
                           AncillaPrep(beta=beta, omega_a=1.0))
-    rows = np.column_stack([beta, ratio, rep.beta_eff, rep.beta_eff / beta]).tolist()
+    table = np.rec.fromarrays([beta, ratio, rep.beta_eff, rep.beta_eff / beta])
     path = _out_path(out_dir, "fig3a_beta_eff.csv")
-    write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], rows, "csv")
+    write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], table, "csv")
     paths.append(path)
 
     rho0 = pure_state(FIG3_THETA)
     for ratio in FIG3_RATIOS:
         coupling = diagonal_coupling(1.0, ratio, FIG_DT)
-        rows = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
+        table = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
         path = _out_path(out_dir, f"fig3_traj_ratio_{ratio:+.2f}.csv")
-        write_table(path, list(RUN_COLUMNS), rows, "csv")
+        write_table(path, list(RUN_COLUMNS), table, "csv")
         paths.append(path)
     return paths
 
@@ -315,17 +312,17 @@ def cmd_fig5(out_dir: str) -> list[str]:
     beta, alpha = _grid(FIG3_BETAS, FIG5_ALPHAS)
     coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
     coherence = l1_coherence(propagate_collisions(_fig_run_config(coupling, beta, rho0), FIG_N))
-    rows = np.column_stack([beta, alpha, coherence]).tolist()
+    table = np.rec.fromarrays([beta, alpha, coherence])
     path = _out_path(out_dir, "fig5a_coherence.csv")
-    write_table(path, ["beta", "alpha", "coherence_l1"], rows, "csv")
+    write_table(path, ["beta", "alpha", "coherence_l1"], table, "csv")
     paths.append(path)
 
     labels = ("0", "pi8", "pi4", "3pi8")
     for alpha, label in zip(FIG5_PANEL_ALPHAS, labels):
         coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
-        rows = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
+        table = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
         path = _out_path(out_dir, f"fig5_traj_alpha_{label}.csv")
-        write_table(path, list(RUN_COLUMNS), rows, "csv")
+        write_table(path, list(RUN_COLUMNS), table, "csv")
         paths.append(path)
     return paths
 
@@ -333,27 +330,26 @@ def cmd_fig5(out_dir: str) -> list[str]:
 def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     """Ergotropy of the collision-protocol steady state over (alpha, gamma)."""
     h_s = QubitHamiltonian(1.0).matrix()
-    names = ("ground", "excited")
+    names = np.array(["ground", "excited"])
     # one initial state per leading index, broadcast against the coupling grid
     rho0 = np.array([pure_state(math.pi / 2), pure_state(0.0)])[:, None]
     alpha, gamma = _grid(ERGO_ALPHAS, ERGO_GAMMAS)
     coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
     ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), h_s)
-    rows = [[a, g, name, e] for name, per_name in zip(names, ergo.tolist())
-            for a, g, e in zip(alpha.tolist(), gamma.tolist(), per_name)]
+    table = np.rec.fromarrays([np.tile(alpha, len(names)), np.tile(gamma, len(names)),
+                               np.repeat(names, alpha.size), ergo.ravel()])
     path = _out_path(out_dir, "ergotropy_surface.csv")
-    write_table(path, ["alpha", "gamma", "rho0", "ergotropy"], rows, "csv")
+    write_table(path, ["alpha", "gamma", "rho0", "ergotropy"], table, "csv")
     paths = [path]
 
     # axes (beta, rho0, alpha), in the row order of the slice table
     coupling = ssc_to_coupling(SscAngles(np.array(ERGO_ALPHAS), 0.0, ERGO_MAGNITUDE), FIG_DT)
     cfg = _fig_run_config(coupling, np.array(FIG3_BETAS)[:, None, None], rho0)
     ergo = ergotropy(propagate_collisions(cfg, FIG_N), h_s)
-    rows = [[beta, alpha, name, e] for beta, per_beta in zip(FIG3_BETAS, ergo.tolist())
-            for name, per_name in zip(names, per_beta)
-            for alpha, e in zip(ERGO_ALPHAS, per_name)]
+    beta, name, alpha = _grid(FIG3_BETAS, names, ERGO_ALPHAS)
+    table = np.rec.fromarrays([beta, alpha, name, ergo.ravel()])
     path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
-    write_table(path, ["beta", "alpha", "rho0", "ergotropy"], rows, "csv")
+    write_table(path, ["beta", "alpha", "rho0", "ergotropy"], table, "csv")
     paths.append(path)
     return paths
 

@@ -99,15 +99,18 @@ def kernel_state(m: np.ndarray, rho_ref: np.ndarray | None = None,
     floor, DEGENERACY_TOL times the total decay rate -Re Tr m (4 Tr gamma for
     Pauli jumps of L), judges weak couplings on their own scale. A kernel of
     dimension above 1 is degenerate; there rho* is the spectral projection of
-    rho_ref, when given. Returns rho* and the dimension of each kernel.
+    rho_ref, or of I/d when none is given. Returns rho* and the dimension of
+    each kernel.
     """
     _, s, vh = np.linalg.svd(m)
     if floor is None:
         floor = DEGENERACY_TOL * -np.trace(m, axis1=-2, axis2=-1).real
     dim = np.sum(s <= np.asarray(floor)[..., None], axis=-1)
     raw = vh[..., -1, :].conj()
-    if rho_ref is not None and np.any(dim > 1):
-        ref = np.broadcast_to(vec(rho_ref), raw.shape)
+    if np.any(dim > 1):
+        # tr is a left null vector of a trace-preserving m: projections keep the trace
+        d = unvec(raw).shape[-1]
+        ref = np.broadcast_to(vec(np.eye(d) / d if rho_ref is None else rho_ref), raw.shape)
         floor = np.broadcast_to(floor, dim.shape)
         for idx in map(tuple, np.argwhere(dim > 1)):
             raw[idx] = kernel_part(m[idx], ref[idx], floor[idx])
@@ -122,8 +125,8 @@ def steady_state_kernel(m: np.ndarray,
                         hs: QubitHamiltonian | None = None) -> SteadyStateReport:
     """Steady state from kernel_state of the vectorized generator m (or a stack).
 
-    A degenerate report holds an arbitrary vector of the kernel: pick by
-    iteration from a definite initial state instead.
+    A degenerate report holds the projection of the maximally mixed state onto
+    the kernel: pick by iteration from a definite initial state instead.
     """
     rho, dim = kernel_state(m)
     residual = np.max(np.abs(m @ vec(rho)[..., None]), axis=(-2, -1))

@@ -22,7 +22,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-PAULI_LABELS = ("x", "y", "z")
 PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])  # [l, m] = sigma_l (x) sigma_m
 
 KET_E = np.array([1, 0], dtype=complex)

@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from collisim.cli import fmt, main
+from collisim.cli import WRITE_BATCH, main, write_table
 from collisim.config import (RUN_COLUMNS, ConfigError, parse_run_config,
                              parse_sweep_config)
 
@@ -117,10 +123,70 @@ def test_sweep_points_cartesian_order():
 
 # ---------------------------------------------------------------- run + CLI
 
-def test_fmt_is_17_significant_digits():
-    assert fmt(np.pi) == "3.1415926535897931e+00"
-    assert fmt(0) == "0"
-    assert fmt(float("inf")) == "inf"
+def reference_fmt(x) -> str:
+    """The per-cell writer's format: ints as integers, floats with 17
+    significant digits in scientific notation, strings as they are."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return str(int(x))
+    return f"{float(x):.16e}"
+
+
+def reference_write(path, columns, rows, out_format):
+    """The per-cell writer that write_table must match byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if out_format == "csv":
+            fh.write(",".join(columns) + "\n")
+            fh.write("".join(",".join(reference_fmt(v) for v in row) + "\n" for row in rows))
+        else:
+            json.dump({"columns": columns,
+                       "rows": [[reference_fmt(v) for v in row] for row in rows]}, fh, indent=1)
+            fh.write("\n")
+
+
+EDGE_FLOATS = [math.pi, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324,
+               2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300]
+CELLS = {
+    "int": (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1) | st.just(0)),
+    "float": (np.float64, st.floats() | st.sampled_from(EDGE_FLOATS)),
+    "str": ("U8", st.text(string.ascii_letters, max_size=8)),
+}
+
+
+@st.composite
+def tables(draw):
+    """A record array of int, float and str fields; each column cycles a drawn pool."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), max_size=4))
+    n = draw(st.sampled_from([0, 1, WRITE_BATCH, WRITE_BATCH + 1]))
+    table = np.empty(n, [(f"c{k}", CELLS[kind][0]) for k, kind in enumerate(kinds)])
+    for k, kind in enumerate(kinds):
+        dtype, cells = CELLS[kind]
+        table[f"c{k}"] = np.resize(np.array(draw(st.lists(cells, min_size=1, max_size=20)), dtype), n)
+    return table
+
+
+LITERAL_CELLS = np.rec.fromarrays([[np.pi], [0], [math.inf]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=tables(), out_format=st.sampled_from(["csv", "json"]))
+@example(table=LITERAL_CELLS, out_format="csv")
+@example(table=LITERAL_CELLS, out_format="json")
+def test_write_table_matches_the_per_cell_writer(table, out_format):
+    columns = [f"col{k}" for k in range(len(table.dtype))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+        write_table(got, columns, table, out_format)
+        reference_write(want, columns, table.tolist(), out_format)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_write_table_keeps_the_frozen_cell_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["pi", "zero", "inf"], LITERAL_CELLS, "csv")
+    assert path.read_text() == "pi,zero,inf\n3.1415926535897931e+00,0,inf\n"
 
 
 def test_cmd_run_deterministic_bytes(tmp_path):
@@ -159,6 +225,24 @@ def test_cmd_run_quantities_subset(tmp_path):
     lines = (tmp_path / "out.csv").read_text().splitlines()
     assert lines[0] == "n,t,pop_e"
     assert len(lines[1].split(",")) == 3
+
+
+@pytest.mark.parametrize("quantities", [["t", "n", "t"], []], ids=["repeated", "empty"])
+def test_cmd_run_writes_repeated_or_no_quantities(tmp_path, quantities):
+    doc = base_doc()
+    assert main(["run", "--config", write_config(tmp_path, doc, "full.json"),
+                 "--out", str(tmp_path)]) == 0
+    full = (tmp_path / "out.csv").read_text().splitlines()
+    doc["output"] = {"path": "subset.csv", "quantities": quantities}
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "subset.csv").read_text().splitlines()
+    assert lines[0] == ",".join(quantities)
+    assert len(lines) == len(full)
+    idx = [RUN_COLUMNS.index(q) for q in quantities]
+    for line, full_line in zip(lines[1:], full[1:]):
+        cells = full_line.split(",")
+        assert line == ",".join(cells[k] for k in idx)
 
 
 def test_cmd_run_json_format(tmp_path):
@@ -267,6 +351,23 @@ def test_cmd_steady_degenerate_notes_initial_state_dependence(tmp_path):
     assert report["iteration"]["pop_e"] == pytest.approx(0.8, abs=1e-6)
 
 
+@pytest.mark.parametrize("method", ["kernel", "both"])
+@pytest.mark.parametrize("j", [{"xx": 1.0}, {"xz": 1.0}, {"yy": 1.0}])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_degenerate_kernel_holds_the_maximally_mixed_projection(tmp_path, method, j, beta):
+    # at omega_s = 0 a single x- or y-jump leaves I and that Pauli in the kernel
+    doc = base_doc(model={"omega_s": 0.0, "omega_a": 1.0, "beta": beta})
+    doc["coupling"]["j"] = j
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["steady", "--config", cfg_path, "--method", method,
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "out_steady.json").read_text())
+    assert report["kernel"]["degenerate"]
+    assert np.allclose(report["kernel"]["rho_star"],
+                       [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], atol=1e-12)
+    assert "initial-state dependent" in report["note"]
+
+
 # -------------------------------------------------------------------- sweep
 
 def sweep_doc(axes, n=15):
@@ -358,6 +459,35 @@ def test_sweep_writes_the_selected_quantities(tmp_path):
     for line, full_line in zip(lines[1:], full_lines[1:]):
         cells = full_line.split(",")
         assert line == ",".join(cells[k] for k in idx)
+
+
+@pytest.mark.parametrize("values, cells", [
+    ([1, 3], ["1", "3"]),
+    ([1, 2.5], ["1.0000000000000000e+00", "2.5000000000000000e+00"]),
+    ([10 ** 20], ["1.0000000000000000e+20"]),
+])
+def test_sweep_axis_column_holds_ints_only_when_every_value_is_one(tmp_path, values, cells):
+    doc = sweep_doc([{"path": "model.beta", "values": values}], n=2)
+    assert main(["sweep", "--config", write_config(tmp_path, doc, "sweep.json"),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [c for c in cells for _ in range(3)]
+
+
+@pytest.mark.parametrize("out_format, text", [
+    ("csv", "coupling.j.xx,n,t\n"),
+    ("json", '{\n "columns": [\n  "coupling.j.xx",\n  "n",\n  "t"\n ],\n "rows": []\n}\n'),
+], ids=["csv", "json"])
+def test_sweep_with_every_point_failing_writes_an_empty_table(tmp_path, out_format, text):
+    # the axis probe parses 1e308, then the collision unitary's eigh fails
+    doc = sweep_doc([{"path": "coupling.j.xx", "values": [1e308]}], n=5)
+    doc["base"]["output"]["quantities"] = ["n", "t"]
+    assert main(["sweep", "--config", write_config(tmp_path, doc, "sweep.json"),
+                 "--out", str(tmp_path), "--format", out_format]) == 3
+    failures = json.loads((tmp_path / "out_sweep_failures.json").read_text())
+    assert [f["point"] for f in failures] == [0]
+    assert failures[0]["error"].startswith("LinAlgError")
+    assert (tmp_path / f"out_sweep.{out_format}").read_text() == text
 
 
 def test_sweep_axis_path_typo_is_config_error(tmp_path, capsys):
