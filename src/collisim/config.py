@@ -242,8 +242,6 @@ class SweepAxis:
 class SweepConfig:
     base: dict
     axes: tuple[SweepAxis, ...]
-    parallel: int
-    cap: int
 
     def points(self) -> list[dict]:
         """Cartesian product; each point is a config document (dict)."""
@@ -318,7 +316,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         n_points *= len(axis.values)
     if n_points > cap:
         raise ConfigError(f"sweep: {n_points} points exceed the cap {cap}")
-    return SweepConfig(base=base, axes=tuple(axes), parallel=parallel, cap=cap)
+    return SweepConfig(base=base, axes=tuple(axes))
 
 
 def load_sweep_config(path: str) -> SweepConfig:

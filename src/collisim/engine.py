@@ -1,9 +1,10 @@
 """Repeated-interaction dynamics: fresh thermal ancilla, joint unitary, trace.
 
-Every collision applies the same linear map Phi to the qubit state; a
-trajectory is the stack of its iterates, and the ledger is evaluated on that
-stack. A stack of configurations runs as one stack of trajectories, and a
-single configuration is a stack of one.
+The joint unitary and the ancilla state fix one linear map Phi on the qubit
+state, the same at every collision; a trajectory is the stack of its
+iterates, and the ledger is evaluated on that stack. A stack of
+configurations runs as one stack of trajectories, and a single
+configuration is a stack of one.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import numpy as np
 
 from . import observables
 from .lindblad import kernel_part, kernel_state
-from .linalg import (clamp_to_density, check_density, dagger, kron,
-                     matrices_close, partial_trace, trace_distance, vec, unvec)
+from .linalg import clamp_to_density, check_density, trace_distance, vec, unvec
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                     build_interaction, collision_unitary)
 from .thermo import (ThermoLedger, expectation, heat_operator, spectral_entropy,
@@ -77,19 +77,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.states[..., -1, :, :]
-
-
-def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
-                 u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla.
-
-    The single-collision reference that the map Phi reproduces.
-    """
-    if not matrices_close(dagger(u) @ u, np.eye(u.shape[0]), 1e-10):
-        raise ValueError("invalid propagator: u is not unitary within 1e-10")
-    joint_after = u @ kron(rho_s, rho_a) @ dagger(u)
-    rho_next = clamp_to_density(partial_trace(joint_after, (2, 2), "S"))
-    return rho_next, joint_after
 
 
 def run(config: CollisionConfig) -> Trajectory:

@@ -39,11 +39,6 @@ def per_state(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def matrices_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Max-norm comparison with an explicit absolute tolerance (never ==)."""
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product, system factor first, ancilla second (of each pair of a stack)."""
     out = np.einsum("...ij,...kl->...ikjl", a, b)
@@ -64,9 +59,9 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
         raise ValueError(
             f"incompatible factorization: operator is {rho.shape}, dims {dims}")
     r = rho.reshape(rho.shape[:-2] + (d_s, d_a, d_s, d_a))
-    if keep in ("S", "s", "system"):
+    if keep == "S":
         return np.einsum("...ikjk->...ij", r)
-    if keep in ("A", "a", "ancilla"):
+    if keep == "A":
         return np.einsum("...kikj->...ij", r)
     raise ValueError(f"unknown subsystem tag {keep!r}")
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import clamp_to_density, dagger, hermitize, kron, unvec, vec
 from .model import PAULIS, AncillaPrep, CouplingSpec, QubitHamiltonian
@@ -138,16 +137,3 @@ def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,
                     ancilla: AncillaPrep) -> SteadyStateReport:
     """Convenience: build, vectorize, and solve the kernel in one call."""
     return steady_state_kernel(vectorize(build_generator(coupling, hs, ancilla)), hs)
-
-
-def evolve_continuous(gen: GKSLGenerator, rho0: np.ndarray, t: float) -> np.ndarray:
-    """exp(t L) applied to rho0.
-
-    Uses the general-matrix exponential of the vectorized generator
-    (scipy.linalg.expm: Al-Mohy/Higham scaling-and-squaring with degree-13
-    Pade approximant).
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    prop = scipy.linalg.expm(t * vectorize(gen))
-    return clamp_to_density(unvec(prop @ vec(rho0.astype(complex))))

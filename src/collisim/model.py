@@ -19,8 +19,6 @@ I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])  # [l, m] = sigma_l (x) sigma_m
 
@@ -97,9 +95,6 @@ class CouplingSpec:
     def scale(self) -> float:
         return self.dt ** -0.5 if self.scaling == "sqrt_dt" else 1.0
 
-    def with_dt(self, dt: float) -> "CouplingSpec":
-        return CouplingSpec(self.j.copy(), dt, self.scaling)
-
 
 def diagonal_coupling(j_x: float, j_y: float, dt: float, scaling: str = "sqrt_dt") -> CouplingSpec:
     """J_x sigma_x sigma_x + J_y sigma_y sigma_y family (arrays give a stack)."""
@@ -149,15 +144,6 @@ def ssc_to_coupling(angles: SscAngles, dt: float, scaling: str = "sqrt_dt") -> C
     return ssc_coupling(j_x, j_y, j_zy, dt, scaling)
 
 
-def coupling_to_ssc(spec: CouplingSpec) -> SscAngles:
-    """Recover (alpha, gamma, magnitude) from an SSC-family CouplingSpec."""
-    j_x, j_y, j_zy = spec.j[0, 0], spec.j[1, 1], spec.j[2, 1]
-    perp = math.hypot(j_x, j_y)
-    alpha = math.atan2(j_zy, perp)
-    gamma = math.atan2(j_y, j_x)
-    return SscAngles(alpha, gamma, math.hypot(perp, j_zy))
-
-
 def gibbs_state(h, beta: float) -> np.ndarray:
     """Thermal state exp(-beta H)/Z of a Hamiltonian.
 
@@ -189,17 +175,12 @@ def build_interaction(spec: CouplingSpec) -> np.ndarray:
     return hermitize(np.einsum("...lm,lmij->...ij", spec.j, PAULI_PAIRS)) * spec.scale
 
 
-def total_hamiltonian(hs: QubitHamiltonian, ha: QubitHamiltonian,
-                      hsa: np.ndarray) -> np.ndarray:
-    return kron(hs.matrix(), I2) + kron(I2, ha.matrix()) + hsa
-
-
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
                       hsa: np.ndarray, dt: float) -> np.ndarray:
     """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision (or a stack)."""
     if hsa.shape[-2:] != (4, 4):
         raise ValueError("interaction must act on the 4-dimensional joint space")
-    return exp_minus_i(total_hamiltonian(hs, ha, hsa), dt)
+    return exp_minus_i(kron(hs.matrix(), I2) + kron(I2, ha.matrix()) + hsa, dt)
 
 
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:

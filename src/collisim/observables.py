@@ -57,11 +57,6 @@ def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
     return per_state(np.maximum(out, 0.0))
 
 
-def is_passive(rho: np.ndarray, h: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when no work is unitarily extractable (ergotropy <= tol)."""
-    return ergotropy(rho, h) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class SteadyStateReport:
     """Steady state plus its thermodynamic characterization.

@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from collisim.engine import CollisionConfig, collide_once, run, steady_state_by_iteration
+from collisim.engine import CollisionConfig, run, steady_state_by_iteration
 from collisim.lindblad import steady_state_of
 from collisim.linalg import trace_distance
 from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
@@ -19,11 +19,9 @@ from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling)
 from collisim.observables import ergotropy
-from collisim.thermo import (collision_heat, collision_work,
-                             entropy_production_collision, heat_current,
-                             work_current)
+from collisim.thermo import current_evaluators, expectation, heat_operator, work_operator
 
-from conftest import random_density
+from conftest import collide_once, entropy_production_collision, random_density
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -127,8 +125,8 @@ def test_criterion_5_first_law_identity():
         u = collision_unitary(hs, ha, hsa, dt)
         rho_s = random_density(2, rng)
         rho_a = gibbs_state(ha, beta)
-        w = collision_work(u, hsa, rho_s, rho_a)
-        q = collision_heat(u, ha.matrix(), rho_s, rho_a)
+        w = expectation(work_operator(u, hsa, rho_a), rho_s)
+        q = expectation(heat_operator(u, ha.matrix(), rho_a), rho_s)
         rho_next, _ = collide_once(rho_s, rho_a, u)
         de_s = float(np.trace(hs.matrix() @ (rho_next - rho_s)).real)
         worst = max(worst, abs(de_s - w + q))
@@ -170,17 +168,16 @@ def test_criterion_7_current_convergence():
         j[:, :2] = rng.uniform(-1.2, 1.2, (3, 2))
         coupling = CouplingSpec(j, dt=1.0)
         rho_s = random_density(2, rng)
-        w_ref = work_current(coupling, HS, ANC, rho_s)
-        q_ref = heat_current(coupling, ANC, rho_s)
+        w_ref, q_ref = current_evaluators(coupling, HS, ANC)(rho_s)
         errs_w, errs_q = [], []
         for dt in (0.02, 0.01, 0.005):
-            c = coupling.with_dt(dt)
+            c = CouplingSpec(coupling.j, dt, coupling.scaling)
             hsa = build_interaction(c)
             u = collision_unitary(HS, ANC.hamiltonian(), hsa, dt)
             rho_a = ANC.state()
-            errs_w.append(abs(collision_work(u, hsa, rho_s, rho_a) / dt - w_ref))
-            errs_q.append(abs(collision_heat(u, ANC.hamiltonian().matrix(),
-                                             rho_s, rho_a) / dt - q_ref))
+            errs_w.append(abs(expectation(work_operator(u, hsa, rho_a), rho_s) / dt - w_ref))
+            errs_q.append(abs(expectation(heat_operator(u, ANC.hamiltonian().matrix(), rho_a),
+                                          rho_s) / dt - q_ref))
         ratios += [errs_w[0] / errs_w[1], errs_w[1] / errs_w[2],
                    errs_q[0] / errs_q[1], errs_q[1] / errs_q[2]]
     ok = all(1.6 <= r <= 2.6 for r in ratios)
@@ -192,13 +189,12 @@ def test_criterion_8_derived_steady_current():
     coupling = diagonal_coupling(1.0, 0.0, dt=1e-4)
     rep = steady_state_of(coupling, HS, ANC)
     rho_star = rep.rho_star
-    w_dot = work_current(coupling, HS, ANC, rho_star)
-    q_dot = heat_current(coupling, ANC, rho_star)
+    w_dot, q_dot = current_evaluators(coupling, HS, ANC)(rho_star)
     hsa = build_interaction(coupling)
     u = collision_unitary(HS, ANC.hamiltonian(), hsa, coupling.dt)
-    w_rate = collision_work(u, hsa, rho_star, ANC.state()) / coupling.dt
-    q_rate = collision_heat(u, ANC.hamiltonian().matrix(), rho_star,
-                            ANC.state()) / coupling.dt
+    w_rate = expectation(work_operator(u, hsa, ANC.state()), rho_star) / coupling.dt
+    q_rate = expectation(heat_operator(u, ANC.hamiltonian().matrix(), ANC.state()),
+                         rho_star) / coupling.dt
     _, joint_after = collide_once(rho_star, ANC.state(), u)
     sigma, _ = entropy_production_collision(rho_star, joint_after, ANC)
     sigma_rate = sigma / coupling.dt
@@ -214,7 +210,8 @@ def _iterate_dt_ladder(coupling, rho0, dts=(1e-3, 1e-4, 1e-5), tol=1e-7):
     rho = rho0
     rep = None
     for dt in dts:
-        cfg = CollisionConfig(hs=HS, ancilla=ANC, coupling=coupling.with_dt(dt),
+        cfg = CollisionConfig(hs=HS, ancilla=ANC,
+                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
                               n_collisions=1, rho0=rho)
         rep = steady_state_by_iteration(cfg, tol=tol)
         rho = rep.rho_star

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import string
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import collisim
 from collisim.cli import WRITE_BATCH, main, write_table
 from collisim.config import (RUN_COLUMNS, ConfigError, parse_run_config,
                              parse_sweep_config)
@@ -108,6 +111,22 @@ def test_sweep_cap_enforced():
            "cap": 1000}
     with pytest.raises(ConfigError, match="cap"):
         parse_sweep_config(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("parallel", 0, "sweep.parallel: expected a positive integer"),
+    ("parallel", 1.5, "sweep.parallel: expected a positive integer"),
+    ("cap", 0, "sweep.cap: expected a positive integer"),
+    ("cap", "10", "sweep.cap: expected a positive integer"),
+    ("cap", 1, "sweep: 2 points exceed the cap 1")])
+def test_sweep_parallel_and_cap_keys_validated_with_exit_2(tmp_path, capsys, key, value, message):
+    doc = {"base": base_doc(), "axes": [{"path": "model.beta", "values": [1.0, 2.0]}],
+           key: value}
+    with pytest.raises(ConfigError, match=message):
+        parse_sweep_config(doc)
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_points_cartesian_order():
@@ -261,6 +280,18 @@ def test_exit_code_2_on_bad_config(tmp_path):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 2
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy is a test dependency only: the runtime needs numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(collisim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import collisim, collisim.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_2_on_unwritable_path(tmp_path):

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 
 from collisim.cli import main
 from collisim.config import parse_run_config
-from collisim.engine import (CollisionConfig, NoSteadyStateError, collide_once,
+from collisim.engine import (CollisionConfig, NoSteadyStateError,
                              collision_map_superoperator, propagate_collisions,
                              run, steady_state_by_iteration)
-from collisim.linalg import (NotAStateError, kron, matrices_close, trace_distance,
-                             unvec, vec)
+from collisim.linalg import NotAStateError, kron, trace_distance, unvec, vec
 from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
                             bloch_state, build_interaction, diagonal_coupling,
                             gibbs_state, pure_state, ssc_coupling)
-from collisim.thermo import collision_heat, collision_work, entropy
+from collisim.thermo import expectation, heat_operator, work_operator
 
-from conftest import random_density
+from conftest import collide_once, entropy, matrices_close, random_density, reference
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -64,6 +63,21 @@ def test_collide_once_preserves_traces():
         rho_next, joint = collide_once(rho_s, cfg.ancilla.state(), u)
         assert np.trace(joint).real == pytest.approx(1.0, abs=1e-12)
         assert np.trace(rho_next).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_collide_once_matches_the_benchmark_reference_map():
+    # the joint-state oracle against perfbench/reference.py, whose collision
+    # map is built with scipy.linalg.expm and numpy alone
+    rng = np.random.default_rng(56)
+    for _ in range(20):
+        j = rng.uniform(-1.5, 1.5, (3, 3))
+        dt, beta = 10 ** rng.uniform(-3, -0.5), rng.uniform(-3.0, 3.0)
+        omega_s, omega_a = rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0)
+        cfg = _config(CouplingSpec(j, dt=dt), beta=beta, omega_s=omega_s, omega_a=omega_a)
+        phi = reference.Model(omega_s, omega_a, beta, j, dt).phi
+        rho = random_density(2, rng)
+        direct, _ = collide_once(rho, cfg.ancilla.state(), cfg.unitary())
+        assert matrices_close(direct, (phi @ rho.ravel()).reshape(2, 2), 1e-12)
 
 
 def test_thermal_state_is_collision_fixed_point():
@@ -129,8 +143,8 @@ def test_halving_dt_leaves_state_at_fixed_time_invariant():
     t_phys = 10.0
     dists = []
     for dt in (0.04, 0.02):
-        a = run(_config(base.with_dt(dt), n=int(round(t_phys / dt)))).final
-        b = run(_config(base.with_dt(dt / 2), n=int(round(2 * t_phys / dt)))).final
+        a = run(_config(CouplingSpec(base.j, dt, base.scaling), n=int(round(t_phys / dt)))).final
+        b = run(_config(CouplingSpec(base.j, dt / 2, base.scaling), n=int(round(2 * t_phys / dt)))).final
         dists.append(trace_distance(a, b))
     assert dists[0] < 1.0 * 0.04
     assert dists[1] < 1.0 * 0.02
@@ -278,13 +292,14 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
     u, rho_a = cfg.unitary(), cfg.ancilla.state()
     h_sa, h_a, h_s = (build_interaction(cfg.coupling), cfg.ancilla.hamiltonian().matrix(),
                       cfg.hs.matrix())
+    k_w, k_q = work_operator(u, h_sa, rho_a), heat_operator(u, h_a, rho_a)
     led = traj.ledger
     rho = cfg.rho0
     for k in range(n):
         nxt, _ = collide_once(rho, rho_a, u)
         assert matrices_close(traj.states[k + 1], nxt, 1e-12)
-        assert led.w[k] == pytest.approx(collision_work(u, h_sa, rho, rho_a), abs=1e-12)
-        assert led.q[k] == pytest.approx(collision_heat(u, h_a, rho, rho_a), abs=1e-12)
+        assert led.w[k] == pytest.approx(expectation(k_w, rho), abs=1e-12)
+        assert led.q[k] == pytest.approx(expectation(k_q, rho), abs=1e-12)
         assert led.de_s[k] == pytest.approx(np.trace(h_s @ (nxt - rho)).real, abs=1e-12)
         assert led.ds[k] == pytest.approx(entropy(nxt) - entropy(rho), abs=1e-12)
         rho = nxt

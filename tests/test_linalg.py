@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from collisim.linalg import (NotAStateError, check_density, clamp_to_density,
-                             exp_minus_i, kron, matrices_close,
-                             partial_trace, trace_distance, unvec, vec)
+                             exp_minus_i, kron, partial_trace, trace_distance,
+                             unvec, vec)
 from collisim.model import I2, SIGMA_X, SIGMA_Z
 
-from conftest import random_density, random_hermitian
+from conftest import matrices_close, random_density, random_hermitian
 
 I4 = np.eye(4, dtype=complex)
 
@@ -80,6 +80,12 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError, match="incompatible factorization"):
         partial_trace(np.eye(3, dtype=complex), (2, 2), "S")
+
+
+@pytest.mark.parametrize("keep", ["system", "s", "ancilla", "a", "B"])
+def test_partial_trace_accepts_only_s_and_a_tags(keep):
+    with pytest.raises(ValueError, match="unknown subsystem tag"):
+        partial_trace(np.eye(4, dtype=complex) / 4, (2, 2), keep)
 
 
 def test_exp_minus_i_zero_time():

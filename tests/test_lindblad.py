@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from collisim.engine import CollisionConfig, run, steady_state_by_iteration
-from collisim.lindblad import (GKSLGenerator, build_generator, evolve_continuous,
-                               steady_state_kernel, steady_state_of, vectorize)
-from collisim.linalg import dagger, kron, matrices_close, trace_distance, unvec, vec
+from collisim.lindblad import (GKSLGenerator, build_generator, steady_state_kernel,
+                               steady_state_of, vectorize)
+from collisim.linalg import dagger, kron, trace_distance, unvec, vec
 from collisim.model import (I2, SIGMA_X, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, diagonal_coupling, gibbs_state,
                             pure_state, ssc_coupling)
 
-from conftest import random_density
+from conftest import evolve_continuous, matrices_close, random_density, reference
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -187,6 +188,29 @@ def test_evolve_semigroup_property():
         assert matrices_close(a, b, 1e-9)
 
 
+def test_kernel_matches_long_time_reference_evolution():
+    # the kernel of L against exp(tL) rho0 at t = 200, with L built apart from
+    # collisim by perfbench/reference.py (row-major states) and exponentiated
+    # by scipy.linalg.expm; the ancilla factors avoid sigma_z, where both agree
+    rng = np.random.default_rng(69)
+    checked = 0
+    for _ in range(20):
+        coupling = _random_coupling(rng, scale=1.5)
+        beta = rng.uniform(-3.0, 3.0)
+        anc = AncillaPrep(beta=beta, omega_a=1.0)
+        gen = reference.Model(1.0, 1.0, beta, coupling.j, coupling.dt).generator
+        rates = np.sort(-np.linalg.eigvals(gen).real)
+        if rates[1] < 0.2:
+            continue  # keep exp(-gap t) far below the bound
+        rep = steady_state_of(coupling, HS, anc)
+        rho0 = random_density(2, rng)
+        late = (scipy.linalg.expm(200.0 * gen) @ rho0.ravel()).reshape(2, 2)
+        assert not rep.degenerate
+        assert trace_distance(rep.rho_star, late) < 1e-10
+        checked += 1
+    assert checked >= 10
+
+
 def test_collision_run_converges_to_continuous_evolution():
     coupling = ssc_coupling(1.0, 0.4, 0.3, dt=0.01)
     rho0 = pure_state(0.4)
@@ -204,7 +228,8 @@ def test_discrete_to_continuum_halving_ratio():
     t_phys = 10.0
     dists = []
     for dt in (0.04, 0.02, 0.01):
-        cfg = CollisionConfig(hs=HS, ancilla=ANC, coupling=coupling.with_dt(dt),
+        cfg = CollisionConfig(hs=HS, ancilla=ANC,
+                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
                               n_collisions=int(round(t_phys / dt)), rho0=rho0)
         dists.append(trace_distance(run(cfg).final,
                                     evolve_continuous(gen, rho0, t_phys)))
@@ -223,7 +248,8 @@ def iterate_with_dt_ladder(coupling, hs, anc, rho0, dts=(1e-3, 1e-4, 1e-5),
     rho = rho0
     rep = None
     for dt in dts:
-        cfg = CollisionConfig(hs=hs, ancilla=anc, coupling=coupling.with_dt(dt),
+        cfg = CollisionConfig(hs=hs, ancilla=anc,
+                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
                               n_collisions=1, rho0=rho)
         rep = steady_state_by_iteration(cfg, tol=tol)
         rho = rep.rho_star

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from collisim.linalg import kron, matrices_close, partial_trace
-from collisim.model import (I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X,
-                            AncillaPrep, CouplingSpec,
+from collisim.linalg import kron, partial_trace
+from collisim.model import (I2, SIGMA_X, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, SscAngles, bloch_state,
                             build_interaction, collision_unitary,
-                            coupling_to_ssc, diagonal_coupling, gibbs_state,
-                            pure_state, ssc_coupling, ssc_to_coupling,
-                            total_hamiltonian)
+                            diagonal_coupling, gibbs_state, pure_state,
+                            ssc_coupling, ssc_to_coupling)
 
-from conftest import random_density
+from conftest import coupling_to_ssc, matrices_close, random_density
+
+SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
+SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 
 TANH_HALF = np.tanh(0.5)  # 0.46211715726...
 
@@ -137,6 +138,11 @@ def test_ssc_roundtrip_pure_parallel_member():
     assert matrices_close(ssc_to_coupling(angles, dt=0.05).j, spec.j, 1e-15)
 
 
+def _total_hamiltonian(hs, ha, hsa):
+    """H_S (x) I + I (x) H_A + H_SA, whose exp(-i dt .) collision_unitary must give."""
+    return kron(hs.matrix(), I2) + kron(I2, ha.matrix()) + hsa
+
+
 def test_collision_unitary_factorizes_without_interaction():
     hs, ha = QubitHamiltonian(1.3), QubitHamiltonian(0.7)
     dt = 0.25
@@ -156,7 +162,7 @@ def test_collision_unitary_commutes_with_generator():
     hs, ha = QubitHamiltonian(1.0), QubitHamiltonian(1.0)
     spec = diagonal_coupling(0.8, 0.3, dt=0.05)
     hsa = build_interaction(spec)
-    htot = total_hamiltonian(hs, ha, hsa)
+    htot = _total_hamiltonian(hs, ha, hsa)
     u = collision_unitary(hs, ha, hsa, spec.dt)
     assert matrices_close(u @ htot, htot @ u, 1e-10)
 
@@ -164,7 +170,7 @@ def test_collision_unitary_commutes_with_generator():
 def test_energy_preserving_interaction_commutes_with_bare_hamiltonian():
     hs = QubitHamiltonian(1.0)
     hsa = build_interaction(diagonal_coupling(1.0, 1.0, dt=0.05))
-    h0 = total_hamiltonian(hs, hs, np.zeros((4, 4), dtype=complex))
+    h0 = _total_hamiltonian(hs, hs, np.zeros((4, 4), dtype=complex))
     comm = hsa @ h0 - h0 @ hsa
     assert np.max(np.abs(comm)) < 1e-10
     u = collision_unitary(hs, hs, hsa, 0.05)
@@ -176,7 +182,7 @@ def test_collision_unitary_conserves_total_energy():
     hs, ha = QubitHamiltonian(1.0), QubitHamiltonian(1.0)
     spec = ssc_coupling(0.9, -0.4, 0.6, dt=0.05)
     hsa = build_interaction(spec)
-    htot = total_hamiltonian(hs, ha, hsa)
+    htot = _total_hamiltonian(hs, ha, hsa)
     u = collision_unitary(hs, ha, hsa, spec.dt)
     for _ in range(20):
         rho = random_density(4, rng)

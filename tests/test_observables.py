@@ -5,8 +5,7 @@ from collisim.lindblad import steady_state_of
 from collisim.model import (I2, SIGMA_Z, AncillaPrep, QubitHamiltonian,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling)
-from collisim.observables import (effective_beta, ergotropy, is_passive,
-                                  l1_coherence, make_report)
+from collisim.observables import effective_beta, ergotropy, l1_coherence, make_report
 
 HS = QubitHamiltonian(1.0)
 
@@ -96,7 +95,7 @@ def test_ergotropy_thermal_states_are_passive():
     for beta in (0.5, 1.0, 3.0):
         rho = gibbs_state(HS, beta)
         assert ergotropy(rho, HS.matrix()) <= 1e-12
-        assert is_passive(rho, HS.matrix())
+        assert ergotropy(rho, HS.matrix()) <= 1e-10
 
 
 def test_ergotropy_inverted_state():
@@ -110,7 +109,7 @@ def test_ergotropy_plus_state():
 
 
 def test_ergotropy_maximally_mixed_passive():
-    assert is_passive(I2 / 2, HS.matrix())
+    assert ergotropy(I2 / 2, HS.matrix()) <= 1e-10
 
 
 def test_ergotropy_invariant_under_commuting_unitaries():
@@ -138,7 +137,7 @@ def test_inverted_ness_is_active():
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     rep = steady_state_of(diagonal_coupling(1.0, -0.5, dt=0.05), HS, anc)
     assert rep.beta_eff < 0
-    assert not is_passive(rep.rho_star, HS.matrix())
+    assert ergotropy(rep.rho_star, HS.matrix()) > 1e-10
 
 
 def test_report_suppresses_beta_eff_for_coherent_states():

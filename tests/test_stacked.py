@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collisim.cli as cli
-from collisim.engine import (CollisionConfig, NoSteadyStateError, collide_once,
+from collisim.engine import (CollisionConfig, NoSteadyStateError,
                              collision_map_superoperator, run, steady_state_by_iteration)
 from collisim.lindblad import steady_state_of
 from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density, kron,
                              trace_distance, unvec, vec)
 from collisim.model import AncillaPrep, CouplingSpec, QubitHamiltonian
 
-from conftest import random_density
+from conftest import collide_once, random_density
 
 BASIS = [np.outer(np.eye(2)[i], np.eye(2)[j]).astype(complex) for i in range(2) for j in range(2)]
 

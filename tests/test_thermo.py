@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from collisim.config import parse_run_config
-from collisim.engine import CollisionConfig, collide_once, run
+from collisim.engine import CollisionConfig, run
 from collisim.linalg import kron
 from collisim.model import (I2, SIGMA_Z, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, build_interaction,
-                            collision_unitary, diagonal_coupling, gibbs_state,
-                            total_hamiltonian)
-from collisim.thermo import (collision_heat, collision_work, current_evaluators,
-                             entropy, entropy_production_collision,
-                             heat_current, mutual_information,
-                             relative_entropy, weak_coupling_sigma_rate,
-                             work_current)
+                            collision_unitary, diagonal_coupling, gibbs_state)
+from collisim.thermo import current_evaluators, expectation, heat_operator, work_operator
 
-from conftest import random_density
+from conftest import (collide_once, entropy, entropy_production_collision,
+                      mutual_information, random_density, relative_entropy,
+                      weak_coupling_sigma_rate)
 
 TANH_HALF = np.tanh(0.5)
 
@@ -72,8 +69,9 @@ def test_work_and_heat_vanish_for_identity_propagator():
     rho_s = random_density(2, rng)
     rho_a = gibbs_state(QubitHamiltonian(1.0), 1.0)
     hsa = build_interaction(diagonal_coupling(1.0, 0.3, dt=0.1))
-    assert collision_work(np.eye(4, dtype=complex), hsa, rho_s, rho_a) == 0.0
-    assert collision_heat(np.eye(4, dtype=complex), SIGMA_Z / 2, rho_s, rho_a) == 0.0
+    u = np.eye(4, dtype=complex)
+    assert expectation(work_operator(u, hsa, rho_a), rho_s) == 0.0
+    assert expectation(heat_operator(u, SIGMA_Z / 2, rho_a), rho_s) == 0.0
 
 
 def test_energy_preserving_work_is_machine_zero():
@@ -83,7 +81,7 @@ def test_energy_preserving_work_is_machine_zero():
         coupling = diagonal_coupling(1.0, 1.0, dt=dt)
         hs, ha, hsa, u = _collision_operators(coupling)
         for _ in range(20):
-            w = collision_work(u, hsa, random_density(2, rng), gibbs_state(ha, 1.0))
+            w = expectation(work_operator(u, hsa, gibbs_state(ha, 1.0)), random_density(2, rng))
             assert abs(w) < 1e-12
 
 
@@ -97,8 +95,8 @@ def test_first_law_random_couplings():
         rho_s = random_density(2, rng)
         beta = rng.uniform(-3, 3)
         rho_a = gibbs_state(ha, beta)
-        w = collision_work(u, hsa, rho_s, rho_a)
-        q = collision_heat(u, ha.matrix(), rho_s, rho_a)
+        w = expectation(work_operator(u, hsa, rho_a), rho_s)
+        q = expectation(heat_operator(u, ha.matrix(), rho_a), rho_s)
         rho_next, _ = collide_once(rho_s, rho_a, u)
         de_s = np.trace(hs.matrix() @ (rho_next - rho_s)).real
         assert abs(de_s - w + q) < 1e-11
@@ -109,8 +107,8 @@ def test_work_rate_matches_current_at_small_dt():
     coupling = diagonal_coupling(1.0, 0.0, dt=1e-4)
     hs, ha, hsa, u = _collision_operators(coupling)
     rho_a = gibbs_state(ha, 1.0)
-    w = collision_work(u, hsa, I2 / 2, rho_a)
-    q = collision_heat(u, ha.matrix(), I2 / 2, rho_a)
+    w = expectation(work_operator(u, hsa, rho_a), I2 / 2)
+    q = expectation(heat_operator(u, ha.matrix(), rho_a), I2 / 2)
     assert w / coupling.dt == pytest.approx(TANH_HALF, abs=1e-3)
     assert q / coupling.dt == pytest.approx(TANH_HALF, abs=1e-3)
 
@@ -120,8 +118,7 @@ def test_work_rate_matches_current_at_small_dt():
 def test_currents_vanish_for_zero_coupling():
     coupling = diagonal_coupling(0.0, 0.0, dt=0.05)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
-    assert work_current(coupling, QubitHamiltonian(1.0), anc, I2 / 2) == 0.0
-    assert heat_current(coupling, anc, I2 / 2) == 0.0
+    assert current_evaluators(coupling, QubitHamiltonian(1.0), anc)(I2 / 2) == (0.0, 0.0)
 
 
 def test_work_current_energy_preserving_is_zero_everywhere():
@@ -131,10 +128,11 @@ def test_work_current_energy_preserving_is_zero_everywhere():
     coupling = diagonal_coupling(1.0, 1.0, dt=0.05)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     hs = QubitHamiltonian(1.0)
+    currents = current_evaluators(coupling, hs, anc)
     for _ in range(20):
         rho = random_density(2, rng)
-        assert abs(work_current(coupling, hs, anc, rho)) < 1e-12
-    assert abs(heat_current(coupling, anc, gibbs_state(hs, 1.0))) < 1e-12
+        assert abs(currents(rho)[0]) < 1e-12
+    assert abs(currents(gibbs_state(hs, 1.0))[1]) < 1e-12
 
 
 def test_work_current_closed_form_jx_only():
@@ -142,12 +140,12 @@ def test_work_current_closed_form_jx_only():
     # so W_dot = omega_A tanh(beta omega_A/2) - omega_S <sz>_s
     coupling = diagonal_coupling(1.0, 0.0, dt=0.05)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
-    hs = QubitHamiltonian(1.0)
+    currents = current_evaluators(coupling, QubitHamiltonian(1.0), anc)
     for z in (-0.7, 0.0, 0.4):
         rho = np.diag([(1 + z) / 2, (1 - z) / 2]).astype(complex)
         expected = TANH_HALF - 1.0 * z
-        assert work_current(coupling, hs, anc, rho) == pytest.approx(expected, abs=1e-12)
-    assert heat_current(coupling, anc, I2 / 2) == pytest.approx(TANH_HALF, abs=1e-12)
+        assert currents(rho)[0] == pytest.approx(expected, abs=1e-12)
+    assert currents(I2 / 2)[1] == pytest.approx(TANH_HALF, abs=1e-12)
 
 
 def test_work_current_equals_double_commutator_form():
@@ -158,14 +156,13 @@ def test_work_current_equals_double_commutator_form():
     for _ in range(25):
         coupling = _random_coupling(rng, 0.05, zero_odd=False)
         v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-        h0 = total_hamiltonian(hs, QubitHamiltonian(anc.omega_a),
-                               np.zeros((4, 4), dtype=complex))
+        h0 = kron(hs.matrix(), I2) + kron(I2, anc.hamiltonian().matrix())
         rho = random_density(2, rng)
         joint = kron(rho, anc.state())
         inner = v @ h0 - h0 @ v
         dbl = v @ inner - inner @ v
         expected = -0.5 * np.trace(dbl @ joint).real
-        assert work_current(coupling, hs, anc, rho) == pytest.approx(expected, abs=1e-11)
+        assert current_evaluators(coupling, hs, anc)(rho)[0] == pytest.approx(expected, abs=1e-11)
 
 
 def test_current_evaluators_match_single_shot_functions():
@@ -173,19 +170,22 @@ def test_current_evaluators_match_single_shot_functions():
     anc = AncillaPrep(beta=0.7, omega_a=1.2)
     hs = QubitHamiltonian(0.9)
     coupling = _random_coupling(rng, 0.05, zero_odd=False)
+    # one call on a stack of states gives each state's currents, and the heat
+    # kernel does not involve H_S
     currents = current_evaluators(coupling, hs, anc)
-    for _ in range(10):
-        rho = random_density(2, rng)
-        w_dot, q_dot = currents(rho)
-        assert w_dot == pytest.approx(work_current(coupling, hs, anc, rho), abs=1e-13)
-        assert q_dot == pytest.approx(heat_current(coupling, anc, rho), abs=1e-13)
+    without_hs = current_evaluators(coupling, QubitHamiltonian(0.0), anc)
+    rhos = np.array([random_density(2, rng) for _ in range(10)])
+    for rho, w_dot, q_dot in zip(rhos, *currents(rhos)):
+        assert w_dot == pytest.approx(currents(rho)[0], abs=1e-13)
+        assert q_dot == pytest.approx(without_hs(rho)[1], abs=1e-13)
 
 
 def test_heat_current_independent_of_system_state_jx_only():
     coupling = diagonal_coupling(1.0, 0.0, dt=0.05)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     rng = np.random.default_rng(39)
-    vals = [heat_current(coupling, anc, random_density(2, rng)) for _ in range(10)]
+    currents = current_evaluators(coupling, QubitHamiltonian(1.0), anc)
+    vals = [currents(random_density(2, rng))[1] for _ in range(10)]
     assert np.ptp(vals) < 1e-12
     assert vals[0] == pytest.approx(TANH_HALF, abs=1e-12)
 
@@ -198,15 +198,15 @@ def test_current_convergence_halving():
     for _ in range(5):
         coupling = _random_coupling(rng, 1.0, zero_odd=True)
         rho_s = random_density(2, rng)
-        w_ref = work_current(coupling, hs, anc, rho_s)
-        q_ref = heat_current(coupling, anc, rho_s)
+        w_ref, q_ref = current_evaluators(coupling, hs, anc)(rho_s)
         errs_w, errs_q = [], []
         for dt in (0.02, 0.01, 0.005):
-            c = coupling.with_dt(dt)
+            c = CouplingSpec(coupling.j, dt, coupling.scaling)
             _, ha, hsa, u = _collision_operators(c)
             rho_a = anc.state()
-            errs_w.append(abs(collision_work(u, hsa, rho_s, rho_a) / dt - w_ref))
-            errs_q.append(abs(collision_heat(u, ha.matrix(), rho_s, rho_a) / dt - q_ref))
+            errs_w.append(abs(expectation(work_operator(u, hsa, rho_a), rho_s) / dt - w_ref))
+            errs_q.append(abs(expectation(heat_operator(u, ha.matrix(), rho_a), rho_s) / dt
+                              - q_ref))
         for errs in (errs_w, errs_q):
             assert errs[0] / errs[1] == pytest.approx(2.0, abs=0.6)
             assert errs[1] / errs[2] == pytest.approx(2.0, abs=0.6)
@@ -244,7 +244,7 @@ def test_steady_sigma_rate_equals_beta_heat_current():
         w, v = np.linalg.eigh(rep.rho_star)
         log_rho = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
         ds_dt = -np.trace(unvec(vectorize(gen) @ vec(rep.rho_star)) @ log_rho).real
-        q_dot = heat_current(coupling, anc, rep.rho_star)
+        q_dot = current_evaluators(coupling, hs, anc)(rep.rho_star)[1]
         sigma_rate = ds_dt + anc.beta * q_dot
         assert abs(sigma_rate - anc.beta * q_dot) < 1e-8
 
@@ -319,8 +319,7 @@ def test_steady_currents_equal_work_and_heat():
         rep = steady_state_of(coupling, hs, anc)
         if rep.degenerate:
             continue
-        w_dot = work_current(coupling, hs, anc, rep.rho_star)
-        q_dot = heat_current(coupling, anc, rep.rho_star)
+        w_dot, q_dot = current_evaluators(coupling, hs, anc)(rep.rho_star)
         assert abs(w_dot - q_dot) < 1e-8
 
 
@@ -349,7 +348,7 @@ def test_weak_coupling_rate_nonnegative_for_energy_preserving():
         coupling=diagonal_coupling(1.0, 1.0, dt=0.05), n_collisions=300,
         rho0=np.diag([0.9, 0.1]).astype(complex))
     traj = run(cfg)
-    rates = weak_coupling_sigma_rate(traj, cfg.hs, beta=1.0)
+    rates = weak_coupling_sigma_rate(traj.states, cfg.hs, beta=1.0, dt=traj.dt)
     assert np.min(rates) > -1e-9
 
 
@@ -361,7 +360,7 @@ def test_weak_coupling_rate_disagrees_off_the_thermal_track():
         coupling=diagonal_coupling(1.0, 0.0, dt=0.05), n_collisions=400,
         rho0=np.diag([0.9, 0.1]).astype(complex))
     traj = run(cfg)
-    wc = weak_coupling_sigma_rate(traj, cfg.hs, beta=1.0)
+    wc = weak_coupling_sigma_rate(traj.states, cfg.hs, beta=1.0, dt=traj.dt)
     ledger_rate = traj.ledger.rates("sigma")
     # late-time: ledger rate stays near beta * Q_dot, weak-coupling rate decays
     assert ledger_rate[-1] == pytest.approx(TANH_HALF, rel=0.05)
