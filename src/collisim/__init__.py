@@ -3,13 +3,12 @@
 from .engine import (CollisionConfig, NoSteadyStateError, Trajectory,
                      propagate_collisions, run, steady_state_by_iteration)
 from .lindblad import (GKSLGenerator, build_generator, steady_state_kernel,
-                       steady_state_of, vectorize)
-from .linalg import (clamp_to_density, exp_minus_i, kron, partial_trace,
-                     trace_distance)
+                       steady_state_of)
+from .linalg import clamp_to_density, exp_minus_i, kron, trace_distance
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,
                     bloch_state, build_interaction, collision_unitary,
-                    diagonal_coupling, gibbs_state, pure_state, ssc_coupling,
-                    ssc_to_coupling)
+                    density_matrix, diagonal_coupling, gibbs_state, pure_state,
+                    ssc_coupling, ssc_to_coupling)
 from .observables import (SteadyStateReport, effective_beta, ergotropy,
                           l1_coherence)
 from .thermo import (ThermoLedger, current_evaluators, heat_operator,

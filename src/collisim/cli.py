@@ -28,10 +28,10 @@ from .config import (RUN_COLUMNS, ConfigError, RunConfig, SweepConfig,
 from .engine import (CollisionConfig, NoSteadyStateError, propagate_collisions,
                      run, steady_state_by_iteration)
 from .lindblad import steady_state_of
-from .linalg import NotAStateError, trace_distance
+from .linalg import trace_distance
 from .model import (FIG3_THETA, AncillaPrep, CouplingSpec, QubitHamiltonian,
                     SscAngles, diagonal_coupling, pure_state, ssc_to_coupling)
-from .observables import SteadyStateReport, ergotropy, l1_coherence
+from .observables import SteadyStateReport, effective_beta, ergotropy, l1_coherence
 from .thermo import current_evaluators
 
 EXIT_OK = 0
@@ -88,36 +88,24 @@ def write_table(path: str, columns: list[str], table: np.ndarray, out_format: st
         fh.write(tail)
 
 
-def _safe_beta_eff(rhos: np.ndarray, omega_s: float) -> np.ndarray:
-    """Per-row population log-ratio ln(p_g/p_e)/omega_s of a stack of states.
-
-    +inf where p_e vanishes, -inf where p_g does, nan for omega_s = 0.
-    """
-    p_e, p_g = rhos[..., 0, 0].real, rhos[..., 1, 1].real
-    if omega_s == 0:
-        return np.full(p_e.shape, math.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(p_g / p_e) / omega_s
-    return np.where(p_e <= 0, math.inf, np.where(p_g <= 0, -math.inf, out))
-
-
 def trajectory_rows(cfg: CollisionConfig) -> np.ndarray:
     """RUN_DTYPE records, one per recorded state, each trajectory of a stack in turn."""
     traj = run(cfg)
-    rhos = traj.states
+    r = traj.states
+    z = r[..., 2]
     dt = cfg.coupling.dt
-    # the current kernels carry the config's stack axes: put time first
+    # the current functionals carry the config's stack axes: put time first
     cur_w, cur_q = (np.moveaxis(c, 0, -1) for c in current_evaluators(
-        cfg.coupling, cfg.hs, cfg.ancilla)(np.moveaxis(rhos, -3, 0)))
+        cfg.coupling, cfg.hs, cfg.ancilla)(np.moveaxis(r, -2, 0)))
     # the ledger entry of the collision ending at each row; zeros on row 0
     w, q, de_s, ds, sigma = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(1, 0)]) for x in (
         traj.ledger.w, traj.ledger.q, traj.ledger.de_s, traj.ledger.ds, traj.ledger.sigma))
-    n = np.arange(rhos.shape[-3])
+    n = np.arange(r.shape[-2])
     columns = [
         n, n * dt,
-        rhos[..., 0, 0].real, rhos[..., 1, 1].real, rhos[..., 0, 1].real, rhos[..., 0, 1].imag,
-        _safe_beta_eff(rhos, cfg.hs.omega), l1_coherence(rhos),
-        ergotropy(rhos, cfg.hs.matrix()),
+        # <e|rho|g> = (x - i y)/2; 0.0 - y writes no -0.0
+        (1 + z) / 2, (1 - z) / 2, r[..., 0] / 2, (0.0 - r[..., 1]) / 2,
+        effective_beta(r, cfg.hs.omega), l1_coherence(r), ergotropy(r, cfg.hs.omega),
         w, q, de_s, ds, sigma,
         np.cumsum(w, axis=-1), np.cumsum(q, axis=-1), np.cumsum(sigma, axis=-1),
         w / dt, q / dt, sigma / dt,
@@ -158,12 +146,14 @@ def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
 
 
 def report_to_dict(rep: SteadyStateReport) -> dict:
-    rho = rep.rho_star
+    # rho = [[p_e, (x - i y)/2], [(x + i y)/2, p_g]]; adding 0.0 writes no -0.0
+    x, y, z = (rep.r_star + 0.0).tolist()
+    pop_e, pop_g = (1 + z) / 2, (1 - z) / 2
     return {
         "method": rep.method,
-        "rho_star": [[[rho[r, c].real, rho[r, c].imag] for c in range(2)] for r in range(2)],
-        "pop_e": rho[0, 0].real,
-        "pop_g": rho[1, 1].real,
+        "rho_star": [[[pop_e, 0.0], [x / 2, (0.0 - y) / 2]], [[x / 2, y / 2], [pop_g, 0.0]]],
+        "pop_e": pop_e,
+        "pop_g": pop_g,
         "beta_eff": rep.beta_eff,
         "coherence_l1": rep.coherence_l1,
         "ergotropy": rep.ergotropy,
@@ -176,23 +166,25 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
     """Solve for the steady state and write a JSON report."""
     doc: dict = {"method": method}
     kernel_rep = iter_rep = None
+    # one config, so both solves share one ancilla state
+    collision_cfg = cfg.collision_config()
     if method in ("kernel", "both"):
-        kernel_rep = steady_state_of(cfg.coupling, cfg.hs(), cfg.ancilla())
+        kernel_rep = steady_state_of(collision_cfg.coupling, collision_cfg.hs,
+                                     collision_cfg.ancilla)
         doc["kernel"] = report_to_dict(kernel_rep)
         if kernel_rep.degenerate:
             # non-unique family: the usable state depends on the initial
             # condition, so fall back to iterating from the configured rho0
             doc["note"] = "non-unique steady state; initial-state dependent"
     if method in ("iteration", "both") or "note" in doc:
-        iter_rep = steady_state_by_iteration(cfg.collision_config())
+        iter_rep = steady_state_by_iteration(collision_cfg)
         doc["iteration"] = report_to_dict(iter_rep)
     if kernel_rep is not None and iter_rep is not None:
-        doc["trace_distance"] = trace_distance(kernel_rep.rho_star, iter_rep.rho_star)
+        doc["trace_distance"] = trace_distance(kernel_rep.r_star, iter_rep.r_star)
     stem = os.path.splitext(os.path.basename(cfg.out_path))[0] or "steady"
     path = _out_path(out_dir, stem + "_steady.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
 
 
@@ -329,13 +321,12 @@ def cmd_fig5(out_dir: str) -> list[str]:
 
 def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     """Ergotropy of the collision-protocol steady state over (alpha, gamma)."""
-    h_s = QubitHamiltonian(1.0).matrix()
     names = np.array(["ground", "excited"])
     # one initial state per leading index, broadcast against the coupling grid
     rho0 = np.array([pure_state(math.pi / 2), pure_state(0.0)])[:, None]
     alpha, gamma = _grid(ERGO_ALPHAS, ERGO_GAMMAS)
     coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
-    ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), h_s)
+    ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), 1.0)
     table = np.rec.fromarrays([np.tile(alpha, len(names)), np.tile(gamma, len(names)),
                                np.repeat(names, alpha.size), ergo.ravel()])
     path = _out_path(out_dir, "ergotropy_surface.csv")
@@ -345,7 +336,7 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     # axes (beta, rho0, alpha), in the row order of the slice table
     coupling = ssc_to_coupling(SscAngles(np.array(ERGO_ALPHAS), 0.0, ERGO_MAGNITUDE), FIG_DT)
     cfg = _fig_run_config(coupling, np.array(FIG3_BETAS)[:, None, None], rho0)
-    ergo = ergotropy(propagate_collisions(cfg, FIG_N), h_s)
+    ergo = ergotropy(propagate_collisions(cfg, FIG_N), 1.0)
     beta, name, alpha = _grid(FIG3_BETAS, names, ERGO_ALPHAS)
     table = np.rec.fromarrays([beta, alpha, name, ergo.ravel()])
     path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
@@ -354,9 +345,11 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     return paths
 
 
-# String cells go through write_table; the old name stays bound because the
-# benchmark's tracing spans (perfbench/spans.py) wrap it by name.
+# String cells go through write_table, and the per-row beta_eff through
+# effective_beta; the old names stay bound because the benchmark's tracing
+# spans (perfbench/spans.py) wrap them by name.
 _write_mixed_table = write_table
+_safe_beta_eff = effective_beta
 
 
 @functools.cache
@@ -428,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSteadyStateError, NotAStateError) as exc:
+    except (NoSteadyStateError, ValueError, np.linalg.LinAlgError) as exc:
+        # the failures a sweep records per point (NotAStateError is a ValueError)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -113,7 +113,7 @@ def _parse_rho0(spec: Any, path: str) -> np.ndarray:
         if spec not in NAMED_STATES:
             raise ConfigError(
                 f"{path}: unknown named state {spec!r}; choose from {sorted(NAMED_STATES)}")
-        return NAMED_STATES[spec]()
+        return np.array(NAMED_STATES[spec])
     if isinstance(spec, dict):
         if "bloch" in spec:
             _require_keys(spec, {"bloch"}, {"bloch"}, path)

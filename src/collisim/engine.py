@@ -1,29 +1,36 @@
 """Repeated-interaction dynamics: fresh thermal ancilla, joint unitary, trace.
 
-The joint unitary and the ancilla state fix one linear map Phi on the qubit
-state, the same at every collision; a trajectory is the stack of its
-iterates, and the ledger is evaluated on that stack. A stack of
-configurations runs as one stack of trajectories, and a single
-configuration is a stack of one.
+The joint unitary and the ancilla state fix one collision map, the same at
+every collision: on Bloch vectors it is the real affine map r -> M r + c.
+A trajectory is the stack of its iterates, and the ledger is evaluated on
+that stack. A stack of configurations runs as one stack of trajectories,
+and a single configuration is a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import observables
-from .lindblad import kernel_part, kernel_state
-from .linalg import clamp_to_density, check_density, trace_distance, vec, unvec
-from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    build_interaction, collision_unitary)
-from .thermo import (ThermoLedger, expectation, heat_operator, spectral_entropy,
+from .lindblad import kernel_state
+from .linalg import check_density, clamp_to_density, trace_distance
+from .model import (PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    build_interaction, collision_unitary, density_matrix)
+from .thermo import (ThermoLedger, bloch_entropy, expectation, heat_operator,
                      work_operator)
 
 
-# Phi has entries of order 1: below this, s(Phi - I) and 1 - |lambda| are round-off.
+# T has entries of order 1: below this, s(T - I) and 1 - |lambda| are round-off.
 FIXED_POINT_FLOOR = 16 * np.finfo(float).eps
+
+# Columns: the column-stacked I, sigma_x, sigma_y, sigma_z. Over sqrt(2) they
+# are an orthonormal basis, in which rho = (I + r . sigma)/2 reads (1, r)/sqrt(2);
+# unscaled, their entries are exact.
+PAULI_BASIS = PAULI4.swapaxes(-1, -2).reshape(4, 4).T
+I4 = np.eye(4)
 
 
 class NoSteadyStateError(RuntimeError):
@@ -38,8 +45,9 @@ class NoSteadyStateError(RuntimeError):
 class CollisionConfig:
     """Everything one repeated-interaction run needs.
 
-    coupling.j, ancilla.beta and rho0 may carry stack axes that broadcast
-    together: a grid of runs for `run` and `propagate_collisions`.
+    coupling.j, ancilla.beta and the Bloch vector rho0 may carry stack axes
+    that broadcast together: a grid of runs for `run` and
+    `propagate_collisions`.
     """
 
     hs: QubitHamiltonian
@@ -52,8 +60,8 @@ class CollisionConfig:
     def __post_init__(self):
         if self.n_collisions < 1:
             raise ValueError("n_collisions must be >= 1")
-        if self.rho0.shape[-2:] != (2, 2):
-            raise ValueError("rho0 must be a 2x2 density matrix")
+        if self.rho0.shape[-1:] != (3,):
+            raise ValueError("rho0 must be a Bloch vector")
         check_density(self.rho0, "rho0")
 
     def unitary(self) -> np.ndarray:
@@ -64,10 +72,10 @@ class CollisionConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded states rho_S(0), rho_S(dt), ... plus the thermodynamic ledger.
+    """Recorded states r(0), r(dt), ... plus the thermodynamic ledger.
 
-    states is an (..., n + 1, 2, 2) stack, with the stack axes of the config
-    leading.
+    states is an (..., n + 1, 3) stack of Bloch vectors, with the stack axes
+    of the config leading.
     """
 
     dt: float
@@ -76,54 +84,63 @@ class Trajectory:
 
     @property
     def final(self) -> np.ndarray:
-        return self.states[..., -1, :, :]
+        return self.states[..., -1, :]
+
+
+def _lift(r: np.ndarray) -> np.ndarray:
+    """(1, r): a Bloch vector in the coordinates that the map T acts on."""
+    return np.concatenate([np.ones(r.shape[:-1] + (1,)), r], axis=-1)
 
 
 def run(config: CollisionConfig) -> Trajectory:
-    """Propagate rho0 through n_collisions applications of Phi, with the ledger.
+    """Propagate rho0 through n_collisions applications of the map, with the ledger.
 
     A stacked config (coupling.j, ancilla.beta or rho0 with stack axes) runs
-    as one stack of trajectories: states (..., n + 1, 2, 2) and ledger
-    arrays (..., n). The states are checked once, as a stack, and never
-    repaired: any eigenvalue below -PSD_TOL, trace error or Hermiticity
-    error raises NotAStateError. Deterministic: identical configs give
-    identical output.
+    as one stack of trajectories: states (..., n + 1, 3) and ledger arrays
+    (..., n). The states are checked once, as a stack, and never repaired:
+    a Bloch vector longer than 1 + 2 PSD_TOL raises NotAStateError.
+    Deterministic: identical configs give identical output.
     """
     u = config.unitary()
-    rho_a = config.ancilla.state()
-    phi = collision_map_superoperator(u, rho_a)
-    v0 = vec(config.rho0.astype(complex))
-    batch = np.broadcast_shapes(phi.shape[:-2], v0.shape[:-1])
-    vecs = np.empty(batch + (config.n_collisions + 1, 4), dtype=complex)
-    vecs[..., 0, :] = v0
+    r_a = config.ancilla.state
+    t = collision_map_superoperator(u, r_a)
+    batch = np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1])
+    lifted = np.empty(batch + (config.n_collisions + 1, 4))
+    lifted[..., 0, :] = _lift(config.rho0)
     for n in range(config.n_collisions):
-        np.matmul(phi, vecs[..., n, :, None], out=vecs[..., n + 1, :, None])
-    states = unvec(vecs)
+        np.matmul(t, lifted[..., n, :, None], out=lifted[..., n + 1, :, None])
+    states = lifted[..., 1:]
 
-    entropies = spectral_entropy(check_density(states, "trajectory state"))
-    energies = expectation(config.hs.matrix(), states)
-    before = states[..., :-1, :, :]
-    k_w = work_operator(u, build_interaction(config.coupling), rho_a)
-    k_q = heat_operator(u, config.ancilla.hamiltonian().matrix(), rho_a)
+    entropies = bloch_entropy(check_density(states, "trajectory state"))
+    # E_S = Tr[H_S rho] = (omega/2) z: the functional (0, 0, 0, omega/2)
+    energies = expectation(np.array([0.0, 0.0, 0.0, config.hs.omega / 2]), states)
+    before = states[..., :-1, :]
+    k_w = work_operator(u, build_interaction(config.coupling), r_a)
+    k_q = heat_operator(u, config.ancilla.hamiltonian().matrix(), r_a)
     ledger = ThermoLedger(dt=config.coupling.dt, beta=config.ancilla.beta)
-    # the one-body operators carry the config's stack axes, not the time axis
-    ledger.record(w=expectation(k_w[..., None, :, :], before),
-                  q=expectation(k_q[..., None, :, :], before),
+    # the functionals carry the config's stack axes, not the time axis
+    ledger.record(w=expectation(k_w[..., None, :], before),
+                  q=expectation(k_q[..., None, :], before),
                   de_s=np.diff(energies), ds=np.diff(entropies))
     return Trajectory(dt=config.coupling.dt, states=states, ledger=ledger)
 
 
-def collision_map_superoperator(u: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """4x4 matrix of one collision acting on the column-stacked system state.
+def collision_map_superoperator(u: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """One collision as the affine map r -> M r + c on Bloch vectors.
 
-    Built from the joint unitary u and the ancilla state rho_a, or stacks of
-    them. The map is linear and identical at every step, so n collisions are
-    the n-th matrix power. It is the map that `run` applies.
+    Returned as the real 4x4 T = [[1, 0], [c, M]] acting on (1, r): the
+    linear map on column-stacked states, written in the orthonormal
+    PAULI_BASIS / sqrt(2), with its first row (trace preservation) set
+    exactly. Built from the joint unitary u and the ancilla Bloch vector
+    r_a, or stacks of them; n collisions are the n-th matrix power. It is
+    the map that `run` applies.
     """
     u = u.reshape(u.shape[:-2] + (2, 2, 2, 2))
-    # out[i, j] = sum U[i,a,k,b] rho[k,l] rho_a[b,c] conj(U[j,a,l,c])
-    phi = np.einsum("...iakb,...bc,...jalc->...jilk", u, rho_a, u.conj())
-    return phi.reshape(phi.shape[:-4] + (4, 4))
+    # phi[i, j] = sum U[i,a,k,b] rho[k,l] rho_a[b,c] conj(U[j,a,l,c]), column-stacked
+    phi = np.einsum("...iakb,...bc,...jalc->...jilk", u, density_matrix(r_a), u.conj())
+    t = (PAULI_BASIS.conj().T @ phi.reshape(phi.shape[:-4] + (4, 4)) @ PAULI_BASIS).real / 2
+    t[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
+    return t
 
 
 def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
@@ -133,20 +150,20 @@ def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
     ledger; used by figure grids, where only the final states matter: a
     stacked config gives the stack of final states in one matrix power.
     """
-    phi = collision_map_superoperator(config.unitary(), config.ancilla.state())
-    out = np.linalg.matrix_power(phi, n) @ vec(config.rho0.astype(complex))[..., None]
-    return clamp_to_density(unvec(out[..., 0]))
+    t = collision_map_superoperator(config.unitary(), config.ancilla.state)
+    out = np.linalg.matrix_power(t, n) @ _lift(config.rho0)[..., None]
+    return clamp_to_density(out[..., 1:, 0])
 
 
 def steady_state_by_iteration(config: CollisionConfig,
                               tol: float | None = None) -> "observables.SteadyStateReport":
-    """The limit of Phi^n rho0, solved directly as the kernel of Phi - I.
+    """The limit of iterating the map from rho0, solved directly: r* = (I - M)^-1 c.
 
-    A degenerate eigenvalue-1 space of Phi gives the spectral projection of
-    rho0 onto it. Weight of rho0 on another eigenvalue of modulus 1 never
+    A degenerate eigenvalue-1 space gives the spectral projection of rho0
+    onto it. Weight of rho0 on another eigenvalue of modulus 1 never
     decays: there is no limit (NoSteadyStateError). residual bounds the
-    distance to the fixed point by trace_distance(Phi rho, rho) / (1 - |l2|),
-    l2 the largest decaying eigenvalue of Phi outside that space. As for a
+    distance to the fixed point by trace_distance(M r* + c, r*) / (1 - |l2|),
+    l2 the largest decaying eigenvalue of M outside that space. As for a
     converged iteration, one collision must move the state by less than
     tol * dt, or NoSteadyStateError is raised.
     """
@@ -154,22 +171,28 @@ def steady_state_by_iteration(config: CollisionConfig,
     if tol <= 0:
         raise ValueError("tol must be positive")
     dt = config.coupling.dt
-    phi = collision_map_superoperator(config.unitary(), config.ancilla.state())
-    rho, dim = kernel_state(phi - np.eye(4), config.rho0, FIXED_POINT_FLOOR)
-    # the eigenvalues of Phi outside its eigenvalue-1 space, and those that never decay
-    w = np.linalg.eigvals(phi)
-    w = w[np.argsort(np.abs(w - 1))[max(dim, 1):]]
-    rotating = 1 - np.abs(w) <= FIXED_POINT_FLOOR
-    for lam in w[rotating]:
-        part = kernel_part(phi - lam * np.eye(4), vec(config.rho0), FIXED_POINT_FLOOR)
-        motion = abs(lam - 1) * np.linalg.norm(part)
+    t = collision_map_superoperator(config.unitary(), config.ancilla.state)
+    m, c = t[1:, 1:], t[1:, 0]
+    r, dim = kernel_state(t - I4, config.rho0, FIXED_POINT_FLOOR)
+    # the eigenvalues of M outside the eigenvalue-1 space of T (whose first
+    # dimension is the trace), and those of them that never decay
+    lam, vecs = np.linalg.eig(m)
+    rest = np.argsort(abs(lam - 1))[dim - 1:]
+    moduli = abs(lam[rest])
+    rotating = 1 - moduli <= FIXED_POINT_FLOOR
+    for mu in lam[rest[rotating]]:
+        # M is a contraction, so the eigenvectors of an eigenvalue of modulus 1
+        # are orthogonal to all others and its spectral projection is orthogonal;
+        # the state reads (1, r)/sqrt(2) in the orthonormal basis
+        q, _ = np.linalg.qr(vecs[:, abs(lam - mu) <= FIXED_POINT_FLOOR])
+        motion = abs(mu - 1) * np.linalg.norm(q.conj().T @ (config.rho0 - r)) / math.sqrt(2)
         if motion >= tol * dt:
             raise NoSteadyStateError(f"no steady state: rho0 rotates by {motion:.3e} per collision"
-                                     f" at the eigenvalue {lam:.6g} of modulus 1", motion / dt)
-    step = trace_distance(unvec(phi @ vec(rho)), rho)
-    residual = float(step / (1 - np.max(np.abs(w[~rotating]), initial=0.0)))
+                                     f" at the eigenvalue {mu:.6g} of modulus 1", motion / dt)
+    step = trace_distance(m @ r + c, r)
+    residual = step / (1 - moduli[~rotating].max(initial=0.0))
     if step >= tol * dt:
         raise NoSteadyStateError(
             f"fixed point moves {step:.3e} under one collision, not below tol * dt", residual)
-    return observables.make_report(rho, config.hs, method="iteration",
+    return observables.make_report(r, config.hs, method="iteration",
                                    residual=residual, degenerate=dim > 1)

@@ -2,28 +2,29 @@
 
 Basis convention: the qubit basis is (|e>, |g>) with sigma_z = diag(+1, -1),
 so H = (omega/2) sigma_z puts the excited state at energy +omega/2 and the
-thermal state diag((1 - tanh(beta omega/2))/2, (1 + tanh(beta omega/2))/2)
-has the smaller entry first. Figure labels |1> and |0> map to |e> and |g>.
+thermal state, Bloch vector (0, 0, -tanh(beta omega/2)), has the smaller
+population on |e>. Figure labels |1> and |0> map to |e> and |g>. States are
+Bloch vectors; the constructors here are where they enter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, exp_minus_i, hermitize, kron
+from .linalg import exp_minus_i, kron
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI4 = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))   # sigma_mu, mu = 0 the identity
+PAULIS = PAULI4[1:]
 PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])  # [l, m] = sigma_l (x) sigma_m
-
-KET_E = np.array([1, 0], dtype=complex)
-KET_G = np.array([0, 1], dtype=complex)
+SZ_S, SZ_A = kron(SIGMA_Z, I2), kron(I2, SIGMA_Z)   # sigma_z of the system, of the ancilla
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class AncillaPrep:
     omega_a: float = 1.0
 
     def __post_init__(self):
-        if np.any(np.isnan(self.beta)):
+        if np.isnan(self.beta).any():
             raise ValueError("beta must be a real number or +-inf")
         if not math.isfinite(self.omega_a):
             raise ValueError("omega_a must be finite")
@@ -60,8 +61,11 @@ class AncillaPrep:
     def hamiltonian(self) -> QubitHamiltonian:
         return QubitHamiltonian(self.omega_a)
 
+    @functools.cached_property
     def state(self) -> np.ndarray:
-        return gibbs_state(QubitHamiltonian(self.omega_a), self.beta)
+        """Bloch vector of the thermal ancilla, built once per instance: the
+        kernel and the iteration of one `steady` command share it."""
+        return gibbs_state(self.hamiltonian(), self.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,35 +148,29 @@ def ssc_to_coupling(angles: SscAngles, dt: float, scaling: str = "sqrt_dt") -> C
     return ssc_coupling(j_x, j_y, j_zy, dt, scaling)
 
 
-def gibbs_state(h, beta: float) -> np.ndarray:
-    """Thermal state exp(-beta H)/Z of a Hamiltonian.
+def gibbs_state(h: QubitHamiltonian, beta: float) -> np.ndarray:
+    """Bloch vector (0, 0, -tanh(beta omega/2)) of the thermal state exp(-beta H)/Z.
 
-    Accepts a QubitHamiltonian or any Hermitian matrix, and an array of beta
-    for a stack of states. beta = +inf returns the ground-state projector
-    (-inf the top one); a degenerate extremal eigenspace at infinite beta is
-    an error because the limit depends on the approach path.
+    An array of beta gives a stack of states. beta = +inf gives the ground
+    state (-inf the top one); at omega = 0 an infinite beta is an error,
+    because the limit depends on the approach path.
     """
-    hm = h.matrix() if isinstance(h, QubitHamiltonian) else np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh(hm)
-    beta = np.asarray(beta, dtype=float)[..., None]
-    finite = np.isfinite(beta)
-    # subtract the max exponent for overflow safety at large |beta|
-    x = -np.where(finite, beta, 0.0) * w
-    x = x - np.max(x, axis=-1, keepdims=True)
-    pops = np.exp(x)
-    pops /= pops.sum(axis=-1, keepdims=True)
-    if not finite.all():
-        target = np.where(beta > 0, w[0], w[-1])
-        sel = np.abs(w - target) <= 1e-12 * max(1.0, np.max(np.abs(w)))
-        if np.any(~finite & (sel.sum(axis=-1, keepdims=True) > 1)):
-            raise ValueError("ill-defined zero-temperature limit: extremal eigenspace degenerate")
-        pops = np.where(finite, pops, sel)
-    return (v * pops[..., None, :]) @ dagger(v)
+    beta = np.asarray(beta, dtype=float)
+    if h.omega == 0 and np.isinf(beta).any():
+        raise ValueError("ill-defined zero-temperature limit: extremal eigenspace degenerate")
+    r = np.zeros(beta.shape + (3,))
+    r[..., 2] = -np.tanh(beta * h.omega / 2)
+    return r
 
 
 def build_interaction(spec: CouplingSpec) -> np.ndarray:
-    """4x4 interaction Hamiltonian s * sum_lm J_lm sigma_l (x) sigma_m (a stack for stacked J)."""
-    return hermitize(np.einsum("...lm,lmij->...ij", spec.j, PAULI_PAIRS)) * spec.scale
+    """4x4 interaction Hamiltonian s * sum_lm J_lm sigma_l (x) sigma_m (a stack for stacked J).
+
+    Hermitian exactly: entry (j, i) sums the conjugates of the terms of (i, j).
+    An entry beyond the float range is inf; collision_unitary rejects it.
+    """
+    with np.errstate(over="ignore"):
+        return np.einsum("...lm,lmij->...ij", spec.j, PAULI_PAIRS) * spec.scale
 
 
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
@@ -180,30 +178,38 @@ def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
     """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision (or a stack)."""
     if hsa.shape[-2:] != (4, 4):
         raise ValueError("interaction must act on the 4-dimensional joint space")
-    return exp_minus_i(kron(hs.matrix(), I2) + kron(I2, ha.matrix()) + hsa, dt)
+    h = hs.omega / 2 * SZ_S + ha.omega / 2 * SZ_A + hsa
+    if not np.isfinite(h).all():
+        raise np.linalg.LinAlgError("collision Hamiltonian is not finite (coupling overflow)")
+    return exp_minus_i(h, dt)
 
 
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:
-    """rho = (I + x sx + y sy + z sz)/2; the Bloch vector must have norm <= 1."""
+    """The Bloch vector (x, y, z) of rho = (I + x sx + y sy + z sz)/2; its norm must be <= 1."""
     n = math.sqrt(x * x + y * y + z * z)
     if n > 1 + 1e-12:
         raise ValueError(f"Bloch vector norm {n} exceeds 1")
-    return (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2
+    return np.array([x, y, z], dtype=float)
 
 
 def pure_state(theta: float, phi: float = 0.0) -> np.ndarray:
-    """|psi><psi| with |psi> = cos(theta)|e> + e^{i phi} sin(theta)|g>."""
-    ket = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)], dtype=complex)
-    return np.outer(ket, ket.conj())
+    """Bloch vector of |psi> = cos(theta)|e> + e^{i phi} sin(theta)|g>."""
+    s = math.sin(2 * theta)
+    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(2 * theta)])
+
+
+def density_matrix(r: np.ndarray) -> np.ndarray:
+    """rho = (I + r . sigma)/2 of a Bloch vector (or of each of a stack)."""
+    return (I2 + np.einsum("...l,lij->...ij", r, PAULIS)) / 2
 
 
 # Initial state of the transient figure panels: cos(15pi/16)|1> + sin(15pi/16)|0>.
 FIG3_THETA = 15 * np.pi / 16
 
 NAMED_STATES = {
-    "ground": lambda: np.outer(KET_G, KET_G.conj()),
-    "excited": lambda: np.outer(KET_E, KET_E.conj()),
-    "plus": lambda: pure_state(np.pi / 4),
-    "maximally_mixed": lambda: I2 / 2,
-    "fig3": lambda: pure_state(FIG3_THETA),
+    "ground": (0.0, 0.0, -1.0),
+    "excited": (0.0, 0.0, 1.0),
+    "plus": (1.0, 0.0, 0.0),
+    "maximally_mixed": (0.0, 0.0, 0.0),
+    "fig3": tuple(pure_state(FIG3_THETA)),
 }

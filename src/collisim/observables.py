@@ -1,4 +1,8 @@
-"""Steady-state characterization: effective temperature, coherence, ergotropy."""
+"""Steady-state characterization: effective temperature, coherence, ergotropy.
+
+Each observable is a closed form of the Bloch vector r = (x, y, z), whose
+state has populations (1 +- z)/2 and eigenvalues (1 +- |r|)/2.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import hermitize, per_state
+from .linalg import per_state
 from .model import QubitHamiltonian
 
 # A population-only effective temperature is misleading for a coherent state;
@@ -16,61 +20,54 @@ from .model import QubitHamiltonian
 COHERENCE_THRESHOLD = 1e-6
 
 
-def effective_beta(rho: np.ndarray, omega_s: float) -> float:
+def effective_beta(r: np.ndarray, omega_s: float) -> float:
     """Inverse temperature of the Gibbs state matching the population ratio.
 
-    beta_eff = ln(p_g / p_e) / omega_s; negative for inverted populations,
-    +-inf when one population vanishes (sign set by which one). Takes one
-    state or a stack of them.
+    beta_eff = ln(p_g / p_e) / omega_s = ln((1 - z)/(1 + z)) / omega_s;
+    negative for inverted populations. A vanishing population gives the
+    limit of the log-ratio: p_e = 0 gives +inf / omega_s, that is +inf for
+    omega_s > 0 and -inf for omega_s < 0 (all weight on the top level is
+    beta = -inf), and p_g = 0 the opposite sign. nan for omega_s = 0, where
+    no temperature is defined. Takes one state or a stack of them.
     """
+    z = r[..., 2]
     if omega_s == 0:
-        raise ValueError("effective temperature undefined for a degenerate Hamiltonian")
-    p_e, p_g = rho[..., 0, 0].real, rho[..., 1, 1].real
-    inf = math.copysign(math.inf, omega_s)
-    with np.errstate(all="ignore"):
-        out = np.log(p_g / p_e) / omega_s
-    return per_state(np.where(p_e <= 0, inf, np.where(p_g <= 0, -inf, out)))
+        return per_state(np.full(z.shape, math.nan))
+    # |z| may pass 1 by round-off: that population is 0
+    with np.errstate(divide="ignore", over="ignore"):
+        return per_state(np.log(np.maximum(1 - z, 0.0) / np.maximum(1 + z, 0.0)) / omega_s)
 
 
-def l1_coherence(rho: np.ndarray) -> float:
-    """Sum of |off-diagonal| entries in the energy (computational) basis."""
-    mag = np.abs(rho)
-    return per_state(np.sum(mag, axis=(-2, -1))
-                     - np.sum(np.diagonal(mag, axis1=-2, axis2=-1), axis=-1))
+def l1_coherence(r: np.ndarray) -> float:
+    """Sum of |off-diagonal| entries in the energy basis: sqrt(x^2 + y^2)."""
+    return per_state(np.hypot(r[..., 0], r[..., 1]))
 
 
-def ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
-    """Maximum work extractable by a cyclic unitary: Tr[rho H] - Tr[rho_p H].
+def ergotropy(r: np.ndarray, omega: float) -> float:
+    """Maximum work extractable by a cyclic unitary under H = (omega/2) sigma_z.
 
-    The passive pairing (largest population on the lowest energy) settles
-    the index convention; round-off scales with the energy span of h, so
-    values in [-1e-12 max(1, span), 0) clamp to 0. Takes one state or a
-    stack of them.
+    Tr[rho H] minus the energy of the passive state, which puts the larger
+    eigenvalue (1 + |r|)/2 on the lower level: (omega z + |omega| |r|)/2.
+    Nonnegative by construction. Takes one state or a stack of them.
     """
-    rho = hermitize(rho)
-    pops = np.linalg.eigvalsh(rho)[..., ::-1]
-    energies = np.linalg.eigvalsh(hermitize(h))
-    e_now = np.einsum("...ij,ji->...", rho, h).real
-    out = e_now - pops @ energies
-    if np.min(out) < -1e-12 * max(1.0, energies[-1] - energies[0]):
-        raise ValueError(f"ergotropy {np.min(out):.3e} below round-off floor; invalid inputs")
-    return per_state(np.maximum(out, 0.0))
+    length = np.sqrt((r * r).sum(axis=-1))
+    return per_state(np.maximum(omega * r[..., 2] + abs(omega) * length, 0.0) / 2)
 
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateReport:
-    """Steady state plus its thermodynamic characterization.
+    """Steady state (Bloch vector r_star) plus its thermodynamic characterization.
 
     beta_eff is None when the state carries more than COHERENCE_THRESHOLD
     of l1-coherence (populations alone do not define a temperature then).
     residual is ||L(rho*)||_max for the kernel method; for iteration, the
-    bound trace_distance(Phi rho*, rho*) / (1 - |l2|) on the distance to the
+    bound trace_distance(M r* + c, r*) / (1 - |l2|) on the distance to the
     fixed point of the collision map (see steady_state_by_iteration).
     degenerate marks a non-unique steady state (initial-state dependent). A
     report on a stack holds arrays, with nan for a suppressed beta_eff.
     """
 
-    rho_star: np.ndarray
+    r_star: np.ndarray
     beta_eff: Optional[float]
     coherence_l1: float
     ergotropy: float
@@ -79,19 +76,18 @@ class SteadyStateReport:
     method: str
 
 
-def make_report(rho_star: np.ndarray, hs: QubitHamiltonian, method: str,
+def make_report(r_star: np.ndarray, hs: QubitHamiltonian, method: str,
                 residual: float, degenerate: bool) -> SteadyStateReport:
-    coh = l1_coherence(rho_star)
+    coh = l1_coherence(r_star)
     beta_eff = np.where(np.asarray(coh) <= COHERENCE_THRESHOLD,
-                        effective_beta(rho_star, hs.omega) if hs.omega != 0 else math.nan,
-                        math.nan)
+                        effective_beta(r_star, hs.omega), math.nan)
     if beta_eff.ndim == 0:
         beta_eff = None if math.isnan(beta_eff) else float(beta_eff)
     return SteadyStateReport(
-        rho_star=rho_star,
+        r_star=r_star,
         beta_eff=beta_eff,
         coherence_l1=coh,
-        ergotropy=ergotropy(rho_star, hs.matrix()),
+        ergotropy=ergotropy(r_star, hs.omega),
         residual=per_state(residual),
         degenerate=bool(degenerate) if np.ndim(degenerate) == 0 else degenerate,
         method=method,

@@ -11,7 +11,8 @@ Sign conventions (fixed once, used everywhere):
     equals D(rho_SA' || rho_S' (x) rho_A^th) and I(S:A)' + D(rho_A' || rho_A^th)
     (Esposito et al., NJP 12, 013013 (2010)), the forms the tests check.
   * Every collision quantity is Tr[M (rho_S (x) rho_A)] for a fixed joint
-    operator M, so it is Tr[K rho_S] for the one-body K = Tr_A[M (I (x) rho_A)]
+    operator M, so it is an affine functional k0 + k . r of the system's
+    Bloch vector r, with k_mu = Tr[M (sigma_mu (x) rho_A)]/2 (sigma_0 = I),
     and evaluates over a whole stack of states at once.
 
 All entropies are in nats.
@@ -24,16 +25,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, kron, partial_trace, per_state
-from .model import I2, AncillaPrep, CouplingSpec, QubitHamiltonian, build_interaction
-
+from .linalg import dagger, kron, per_state
+from .model import (I2, PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    build_interaction, density_matrix)
 
 # At beta = +-inf a heat below this is round-off and counts as zero.
 INF_BETA_HEAT_TOL = 1e-14
 
 
-def spectral_entropy(w: np.ndarray) -> np.ndarray:
-    """-sum w ln w over the last axis of an eigenvalue array; 0 ln 0 = 0."""
+def bloch_entropy(length: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy h((1 + |r|)/2) of states of Bloch length |r|; 0 ln 0 = 0.
+
+    A length just above 1 (round-off) has a negative eigenvalue, counted as 0.
+    """
+    w = np.stack([(1 + length) / 2, (1 - length) / 2], axis=-1)
     pos = w > 0
     return -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
 
@@ -49,25 +54,30 @@ def entropy_production(ds, q, beta):
     return np.where(finite, sigma, np.where(np.abs(q) <= INF_BETA_HEAT_TOL, ds, math.inf))
 
 
-def reduced_operator(m: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """K = Tr_A[M (I (x) rho_a)], so that Tr[M (rho (x) rho_a)] = Tr[K rho]."""
-    return partial_trace(m @ kron(I2, rho_a), (2, 2), "S")
+def affine_functional(m: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """(k0, kx, ky, kz) with Tr[M (rho (x) rho_a)] = k0 + k . r for every state r.
+
+    k_mu = Tr[M (sigma_mu (x) rho_a)]/2 for a joint operator M and the
+    ancilla Bloch vector r_a, or stacks of them.
+    """
+    pairs = kron(PAULI4, density_matrix(r_a)[..., None, :, :])
+    return 0.5 * np.einsum("...ij,...mji->...m", m, pairs).real
 
 
-def expectation(k: np.ndarray, rho: np.ndarray):
-    """Tr[K rho] for one state (a float) or stacks that broadcast (an array)."""
-    return per_state(np.einsum("...ij,...ji->...", k, rho).real)
+def expectation(k: np.ndarray, r: np.ndarray):
+    """k0 + k . r for one state (a float) or stacks that broadcast (an array)."""
+    return per_state(k[..., 0] + np.einsum("...i,...i->...", k[..., 1:], r))
 
 
-def work_operator(u: np.ndarray, h_sa: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """One-body operator of the switching work: decrease of the interaction energy."""
-    return reduced_operator(h_sa - dagger(u) @ h_sa @ u, rho_a)
+def work_operator(u: np.ndarray, h_sa: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """Functional of the switching work: decrease of the interaction energy."""
+    return affine_functional(h_sa - dagger(u) @ h_sa @ u, r_a)
 
 
-def heat_operator(u: np.ndarray, h_a: np.ndarray, rho_a: np.ndarray) -> np.ndarray:
-    """One-body operator of the heat into the ancilla (h_a is 2x2)."""
+def heat_operator(u: np.ndarray, h_a: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """Functional of the heat into the ancilla (h_a is 2x2)."""
     ha_full = kron(I2, h_a)
-    return reduced_operator(dagger(u) @ ha_full @ u - ha_full, rho_a)
+    return affine_functional(dagger(u) @ ha_full @ u - ha_full, r_a)
 
 
 def _current_kernel(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -80,19 +90,18 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
                        ancilla: AncillaPrep):
     """Continuous-limit (work, heat) currents as a function of the system state.
 
-    Returns f(rho_s) -> (w_dot, q_dot) for one state or a stack of them
-    (g0-level J units); the kernels are built once, as one-body operators
-    with the stack axes of the config, against which rho_s broadcasts.
+    Returns f(r) -> (w_dot, q_dot) for one Bloch vector or a stack of them
+    (g0-level J units); the kernels are built once, as affine functionals
+    with the stack axes of the config, against which r broadcasts.
     """
     v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
     ha = kron(I2, ancilla.hamiltonian().matrix())
     h0 = kron(hs.matrix(), I2) + ha
-    rho_th = ancilla.state()
-    k_w = reduced_operator(_current_kernel(v, h0), rho_th)
-    k_q = reduced_operator(_current_kernel(v, ha), rho_th)
+    k_w = affine_functional(_current_kernel(v, h0), ancilla.state)
+    k_q = affine_functional(_current_kernel(v, ha), ancilla.state)
 
-    def currents(rho_s: np.ndarray):
-        return expectation(k_w, rho_s), expectation(k_q, rho_s)
+    def currents(r: np.ndarray):
+        return expectation(k_w, r), expectation(k_q, r)
 
     return currents
 

@@ -8,10 +8,9 @@ import pytest
 import scipy.linalg
 
 from collisim.cli import cmd_ergotropy_surface, cmd_fig3, cmd_fig5
-from collisim.lindblad import vectorize
-from collisim.linalg import clamp_to_density, dagger, hermitize, kron, partial_trace, unvec, vec
-from collisim.model import SscAngles, gibbs_state
-from collisim.thermo import entropy_production, spectral_entropy
+from collisim.linalg import clamp_to_density, dagger, kron
+from collisim.model import SscAngles, density_matrix, gibbs_state
+from collisim.thermo import entropy_production
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -27,6 +26,17 @@ def _load(name: str, path: str):
 reference = _load("perfbench_reference", os.path.join(ROOT, "perfbench", "reference.py"))
 
 
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (a + a^dag)/2."""
+    return (a + dagger(a)) / 2
+
+
+def bloch_vector(rho: np.ndarray) -> np.ndarray:
+    """(x, y, z) with rho = (I + x sx + y sy + z sz)/2, of a 2x2 matrix or a stack."""
+    return np.stack([2 * rho[..., 0, 1].real, -2 * rho[..., 0, 1].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with entries of order `scale`."""
     a = rng.uniform(-scale, scale, (dim, dim)) + 1j * rng.uniform(-scale, scale, (dim, dim))
@@ -40,38 +50,101 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return m / np.trace(m).real
 
 
+def random_bloch(rng: np.random.Generator) -> np.ndarray:
+    """Bloch vector of a full-rank random state (the measure of random_density)."""
+    return bloch_vector(random_density(2, rng))
+
+
 # ----------------------------------------------------------------------------
 # References the tests compare the library against. The CLI needs none of
-# them: each recomputes on the joint state, or by a matrix exponential, what
-# the library gets from the collision map Phi and the one-body operators.
+# them: each recomputes on density matrices, the joint state, eigenvalues or
+# a matrix exponential what the library gets in closed form from Bloch
+# vectors, the affine collision map and the affine functionals.
 
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """Max-norm comparison with an explicit absolute tolerance (never ==)."""
     return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol)
 
 
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Trace out one tensor factor of a (d_S * d_A)-dimensional operator (or a stack).
+
+    keep = 'S' keeps the first factor, 'A' the second.
+    """
+    d_s, d_a = dims
+    if rho.shape[-2:] != (d_s * d_a, d_s * d_a):
+        raise ValueError(
+            f"incompatible factorization: operator is {rho.shape}, dims {dims}")
+    r = rho.reshape(rho.shape[:-2] + (d_s, d_a, d_s, d_a))
+    if keep == "S":
+        return np.einsum("...ikjk->...ij", r)
+    if keep == "A":
+        return np.einsum("...kikj->...ij", r)
+    raise ValueError(f"unknown subsystem tag {keep!r}")
+
+
 def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla.
 
-    The single-collision reference that the map Phi reproduces. Returns the
-    next system state and the joint state after the collision.
+    The single-collision reference that the affine map (M, c) reproduces, on
+    density matrices. Returns the next system state and the joint state
+    after the collision.
     """
     if not matrices_close(dagger(u) @ u, np.eye(u.shape[0]), 1e-10):
         raise ValueError("invalid propagator: u is not unitary within 1e-10")
     joint_after = u @ kron(rho_s, rho_a) @ dagger(u)
-    return clamp_to_density(partial_trace(joint_after, (2, 2), "S")), joint_after
+    return hermitize(partial_trace(joint_after, (2, 2), "S")), joint_after
 
 
-def evolve_continuous(gen, rho0: np.ndarray, t: float) -> np.ndarray:
-    """exp(t L) rho0, with scipy.linalg.expm of the vectorized generator."""
-    prop = scipy.linalg.expm(t * vectorize(gen))
-    return clamp_to_density(unvec(prop @ vec(rho0.astype(complex))))
+def apply_map(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """M r + c of collision maps T = [[1, 0], [c, M]] (stacks broadcast)."""
+    return (t[..., 1:, 1:] @ r[..., None])[..., 0] + t[..., 1:, 0]
+
+
+def evolve_continuous(gen, r0: np.ndarray, t: float) -> np.ndarray:
+    """The Bloch vector exp(t L) r0, with scipy.linalg.expm of gen.matrix()."""
+    prop = scipy.linalg.expm(t * gen.matrix())
+    return clamp_to_density((prop @ np.r_[1.0, r0])[1:])
+
+
+def eigen_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the last axis of an eigenvalue array; 0 ln 0 = 0."""
+    pos = w > 0
+    return -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
 
 
 def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -Tr[rho ln rho] in nats."""
-    return float(spectral_entropy(np.linalg.eigvalsh(hermitize(rho))))
+    """Von Neumann entropy -Tr[rho ln rho] in nats, from the eigenvalues of rho."""
+    return float(eigen_entropy(np.linalg.eigvalsh(hermitize(rho))))
+
+
+def eigen_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(1/2) ||rho - sigma||_1 from the eigenvalues of the difference."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(hermitize(rho - sigma)))))
+
+
+def eigen_ergotropy(rho: np.ndarray, h: np.ndarray) -> float:
+    """Tr[rho H] - Tr[rho_p H], with the passive state pairing the largest
+    population with the lowest energy, from eigendecompositions."""
+    pops = np.linalg.eigvalsh(hermitize(rho))[::-1]
+    energies = np.linalg.eigvalsh(hermitize(h))
+    return float(np.trace(rho @ h).real - pops @ energies)
+
+
+def population_beta_eff(rho: np.ndarray, omega_s: float) -> float:
+    """ln(rho_gg / rho_ee) / omega_s from the diagonal entries (inf at a zero
+    population, with the sign of the limit), nan at omega_s = 0."""
+    if omega_s == 0:
+        return math.nan
+    p_e, p_g = np.maximum(np.diagonal(rho).real, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.log(p_g / p_e) / omega_s)
+
+
+def entry_l1_coherence(rho: np.ndarray) -> float:
+    """Sum of the moduli of the off-diagonal entries."""
+    return float(abs(rho[0, 1]) + abs(rho[1, 0]))
 
 
 def _log_psd(rho: np.ndarray) -> np.ndarray:
@@ -108,7 +181,7 @@ def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarr
     NJP 12, 013013 (2010)). At infinite beta the relative entropies are +inf
     and checks says so instead.
     """
-    rho_th = ancilla.state()
+    rho_th = density_matrix(ancilla.state)
     rho_s_after = partial_trace(joint_after, (2, 2), "S")
     rho_a_after = partial_trace(joint_after, (2, 2), "A")
     ds = entropy(rho_s_after) - entropy(rho_s_before)
@@ -126,12 +199,13 @@ def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarr
 def weak_coupling_sigma_rate(states, hs, beta: float, dt: float) -> np.ndarray:
     """Weak-coupling diagnostic rate -d/dt D(rho_S(t) || gibbs(beta, H_S)).
 
-    Finite differences (central in the interior) over states sampled every
-    dt. It is the entropy production rate only in the weak-coupling limit;
-    against the per-collision sigma it shows where that limit stops applying.
+    Finite differences (central in the interior) over Bloch vectors sampled
+    every dt. It is the entropy production rate only in the weak-coupling
+    limit; against the per-collision sigma it shows where that limit stops
+    applying.
     """
-    ref = gibbs_state(hs, beta)
-    return -np.gradient(np.array([relative_entropy(rho, ref) for rho in states]), dt)
+    ref = density_matrix(gibbs_state(hs, beta))
+    return -np.gradient(np.array([relative_entropy(density_matrix(r), ref) for r in states]), dt)
 
 
 def coupling_to_ssc(spec) -> SscAngles:

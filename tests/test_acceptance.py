@@ -14,14 +14,14 @@ import numpy as np
 from collisim.engine import CollisionConfig, run, steady_state_by_iteration
 from collisim.lindblad import steady_state_of
 from collisim.linalg import trace_distance
-from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                            build_interaction, collision_unitary,
+from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
+                            build_interaction, collision_unitary, density_matrix,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling)
 from collisim.observables import ergotropy
 from collisim.thermo import current_evaluators, expectation, heat_operator, work_operator
 
-from conftest import collide_once, entropy_production_collision, random_density
+from conftest import bloch_vector, collide_once, entropy_production_collision, random_density
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -65,13 +65,13 @@ def test_criterion_2_effective_temperature_endpoints():
     oracle = math.log((a * p_g + b * p_e) / (a * p_e + b * p_g))
 
     # cross-check the 0.776 value by iterating collisions at decreasing dt
-    rho = I2 / 2
+    rho = np.zeros(3)
     for dt in (1e-3, 1e-4, 1e-5):
         cfg = CollisionConfig(hs=HS, ancilla=ANC,
                               coupling=diagonal_coupling(1.0, 0.5, dt=dt),
                               n_collisions=1, rho0=rho)
         rep_it = steady_state_by_iteration(cfg, tol=1e-7)
-        rho = rep_it.rho_star
+        rho = rep_it.r_star
     elapsed = time.perf_counter() - t0
 
     ok = (abs(rep0.beta_eff) <= 1e-6
@@ -124,10 +124,10 @@ def test_criterion_5_first_law_identity():
         hsa = build_interaction(coupling)
         u = collision_unitary(hs, ha, hsa, dt)
         rho_s = random_density(2, rng)
-        rho_a = gibbs_state(ha, beta)
-        w = expectation(work_operator(u, hsa, rho_a), rho_s)
-        q = expectation(heat_operator(u, ha.matrix(), rho_a), rho_s)
-        rho_next, _ = collide_once(rho_s, rho_a, u)
+        r_a = gibbs_state(ha, beta)
+        w = expectation(work_operator(u, hsa, r_a), bloch_vector(rho_s))
+        q = expectation(heat_operator(u, ha.matrix(), r_a), bloch_vector(rho_s))
+        rho_next, _ = collide_once(rho_s, density_matrix(r_a), u)
         de_s = float(np.trace(hs.matrix() @ (rho_next - rho_s)).real)
         worst = max(worst, abs(de_s - w + q))
     ok = worst <= 1e-11
@@ -149,7 +149,7 @@ def test_criterion_6_entropy_production_forms():
         coupling = CouplingSpec(j, dt=dt)
         u = collision_unitary(HS, anc.hamiltonian(), build_interaction(coupling), dt)
         rho_s = random_density(2, rng)
-        _, joint_after = collide_once(rho_s, anc.state(), u)
+        _, joint_after = collide_once(rho_s, density_matrix(anc.state), u)
         sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
         worst_sigma = min(worst_sigma, sigma)
         worst_dev = max(worst_dev,
@@ -167,14 +167,14 @@ def test_criterion_7_current_convergence():
         j = np.zeros((3, 3))
         j[:, :2] = rng.uniform(-1.2, 1.2, (3, 2))
         coupling = CouplingSpec(j, dt=1.0)
-        rho_s = random_density(2, rng)
+        rho_s = bloch_vector(random_density(2, rng))
         w_ref, q_ref = current_evaluators(coupling, HS, ANC)(rho_s)
         errs_w, errs_q = [], []
         for dt in (0.02, 0.01, 0.005):
             c = CouplingSpec(coupling.j, dt, coupling.scaling)
             hsa = build_interaction(c)
             u = collision_unitary(HS, ANC.hamiltonian(), hsa, dt)
-            rho_a = ANC.state()
+            rho_a = ANC.state
             errs_w.append(abs(expectation(work_operator(u, hsa, rho_a), rho_s) / dt - w_ref))
             errs_q.append(abs(expectation(heat_operator(u, ANC.hamiltonian().matrix(), rho_a),
                                           rho_s) / dt - q_ref))
@@ -188,14 +188,15 @@ def test_criterion_7_current_convergence():
 def test_criterion_8_derived_steady_current():
     coupling = diagonal_coupling(1.0, 0.0, dt=1e-4)
     rep = steady_state_of(coupling, HS, ANC)
-    rho_star = rep.rho_star
-    w_dot, q_dot = current_evaluators(coupling, HS, ANC)(rho_star)
+    r_star = rep.r_star
+    w_dot, q_dot = current_evaluators(coupling, HS, ANC)(r_star)
     hsa = build_interaction(coupling)
     u = collision_unitary(HS, ANC.hamiltonian(), hsa, coupling.dt)
-    w_rate = expectation(work_operator(u, hsa, ANC.state()), rho_star) / coupling.dt
-    q_rate = expectation(heat_operator(u, ANC.hamiltonian().matrix(), ANC.state()),
-                         rho_star) / coupling.dt
-    _, joint_after = collide_once(rho_star, ANC.state(), u)
+    w_rate = expectation(work_operator(u, hsa, ANC.state), r_star) / coupling.dt
+    q_rate = expectation(heat_operator(u, ANC.hamiltonian().matrix(), ANC.state),
+                         r_star) / coupling.dt
+    rho_star = density_matrix(r_star)
+    _, joint_after = collide_once(rho_star, density_matrix(ANC.state), u)
     sigma, _ = entropy_production_collision(rho_star, joint_after, ANC)
     sigma_rate = sigma / coupling.dt
     devs = [abs(x - TANH_HALF) for x in (w_dot, q_dot, w_rate, q_rate)]
@@ -214,7 +215,7 @@ def _iterate_dt_ladder(coupling, rho0, dts=(1e-3, 1e-4, 1e-5), tol=1e-7):
                               coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
                               n_collisions=1, rho0=rho)
         rep = steady_state_by_iteration(cfg, tol=tol)
-        rho = rep.rho_star
+        rho = rep.r_star
     return rep
 
 
@@ -231,8 +232,8 @@ def test_criterion_9_kernel_vs_iteration():
         rep_k = steady_state_of(coupling, HS, ANC)
         if rep_k.degenerate:
             continue
-        rep_i = _iterate_dt_ladder(coupling, I2 / 2)
-        dists.append(trace_distance(rep_k.rho_star, rep_i.rho_star))
+        rep_i = _iterate_dt_ladder(coupling, np.zeros(3))
+        dists.append(trace_distance(rep_k.r_star, rep_i.r_star))
     rep_deg = steady_state_of(ssc_coupling(0.0, 0.0, 1.0, dt=0.05), HS, ANC)
     ok = max(dists) <= 1e-6 and rep_deg.degenerate
     report(9, ok, f"max kernel-vs-iteration td over 50 couplings = {max(dists):.2e} "
@@ -264,8 +265,8 @@ def test_criterion_10_ssc_structure(figure_outputs):
 
 
 def test_criterion_11_ergotropy(figure_outputs):
-    e_gibbs = ergotropy(gibbs_state(HS, 1.0), HS.matrix())
-    e_inverted = ergotropy(pure_state(0.0), HS.matrix())
+    e_gibbs = ergotropy(gibbs_state(HS, 1.0), HS.omega)
+    e_inverted = ergotropy(pure_state(0.0), HS.omega)
 
     rows = read_csv(figure_outputs["dir"] / "ergotropy_surface.csv")
     surface = defaultdict(dict)

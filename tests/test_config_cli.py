@@ -5,6 +5,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -71,7 +72,8 @@ def test_bloch_vector_norm_checked():
         parse_run_config(doc)
     doc["run"]["rho0"] = {"bloch": [0.0, 0.0, 1.0]}
     cfg = parse_run_config(doc)
-    assert cfg.rho0[0, 0].real == pytest.approx(1.0)
+    # run.rho0 is carried as its Bloch vector: all weight on |e>
+    assert np.array_equal(cfg.rho0, [0.0, 0.0, 1.0])
 
 
 def test_ssc_coupling_in_config():
@@ -312,6 +314,21 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("command", ["run", "steady"])
+def test_coupling_overflow_is_a_numerical_failure(tmp_path, capsys, command):
+    # J_xx = 1e308 at dt = 0.05 overflows the sqrt_dt-scaled interaction (and
+    # the rate matrix): one line on stderr and exit 3, no traceback, no warning
+    doc = base_doc()
+    doc["coupling"]["j"] = {"xx": 1e308}
+    cfg_path = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("beta", ["inf", "-inf"])
 @pytest.mark.parametrize("command", ["run", "steady"])
 def test_zero_temperature_needs_a_nondegenerate_ancilla(tmp_path, capsys, command, beta):
@@ -357,6 +374,22 @@ def test_cmd_steady_both_methods_agree(tmp_path):
     assert report["iteration"]["beta_eff"] == pytest.approx(1.0, abs=1e-4)
     assert report["trace_distance"] < 1e-6
     assert not report["kernel"]["degenerate"]
+
+
+def test_cmd_steady_builds_the_ancilla_state_once(tmp_path, monkeypatch):
+    # the kernel and the iteration of one command share one thermal ancilla
+    import collisim.model as model
+    calls = []
+    gibbs_state = model.gibbs_state
+
+    def counted(*args):
+        calls.append(args)
+        return gibbs_state(*args)
+    monkeypatch.setattr(model, "gibbs_state", counted)
+    cfg_path = write_config(tmp_path, base_doc())
+    assert main(["steady", "--config", cfg_path, "--method", "both",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_cmd_steady_off_resonant_renormalization(tmp_path):

@@ -11,13 +11,14 @@ from collisim.config import parse_run_config
 from collisim.engine import (CollisionConfig, NoSteadyStateError,
                              collision_map_superoperator, propagate_collisions,
                              run, steady_state_by_iteration)
-from collisim.linalg import NotAStateError, kron, trace_distance, unvec, vec
-from collisim.model import (I2, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                            bloch_state, build_interaction, diagonal_coupling,
-                            gibbs_state, pure_state, ssc_coupling)
+from collisim.linalg import NotAStateError, check_density, kron, trace_distance
+from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
+                            bloch_state, build_interaction, density_matrix,
+                            diagonal_coupling, gibbs_state, pure_state, ssc_coupling)
 from collisim.thermo import expectation, heat_operator, work_operator
 
-from conftest import collide_once, entropy, matrices_close, random_density, reference
+from conftest import (apply_map, bloch_vector, collide_once, eigen_trace_distance, entropy,
+                      matrices_close, random_density, reference)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -29,7 +30,7 @@ def _config(coupling, beta=1.0, n=100, rho0=None, omega_s=1.0, omega_a=1.0, **kw
     return CollisionConfig(
         hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
         coupling=coupling, n_collisions=n,
-        rho0=np.diag([0.9, 0.1]).astype(complex) if rho0 is None else rho0, **kw)
+        rho0=bloch_state(0.0, 0.0, 0.8) if rho0 is None else rho0, **kw)
 
 
 def test_collide_once_identity():
@@ -60,7 +61,7 @@ def test_collide_once_preserves_traces():
     u = cfg.unitary()
     for _ in range(20):
         rho_s = random_density(2, rng)
-        rho_next, joint = collide_once(rho_s, cfg.ancilla.state(), u)
+        rho_next, joint = collide_once(rho_s, density_matrix(cfg.ancilla.state), u)
         assert np.trace(joint).real == pytest.approx(1.0, abs=1e-12)
         assert np.trace(rho_next).real == pytest.approx(1.0, abs=1e-12)
 
@@ -76,16 +77,16 @@ def test_collide_once_matches_the_benchmark_reference_map():
         cfg = _config(CouplingSpec(j, dt=dt), beta=beta, omega_s=omega_s, omega_a=omega_a)
         phi = reference.Model(omega_s, omega_a, beta, j, dt).phi
         rho = random_density(2, rng)
-        direct, _ = collide_once(rho, cfg.ancilla.state(), cfg.unitary())
+        direct, _ = collide_once(rho, density_matrix(cfg.ancilla.state), cfg.unitary())
         assert matrices_close(direct, (phi @ rho.ravel()).reshape(2, 2), 1e-12)
 
 
 def test_thermal_state_is_collision_fixed_point():
     # energy-preserving resonant: gibbs(beta) is exactly stationary
     cfg = _config(diagonal_coupling(1.0, 1.0, dt=0.05))
-    g = gibbs_state(cfg.hs, 1.0)
-    rho_next, _ = collide_once(g, cfg.ancilla.state(), cfg.unitary())
-    assert trace_distance(rho_next, g) < 1e-10
+    g = density_matrix(gibbs_state(cfg.hs, 1.0))
+    rho_next, _ = collide_once(g, density_matrix(cfg.ancilla.state), cfg.unitary())
+    assert eigen_trace_distance(rho_next, g) < 1e-10
 
 
 def test_run_energy_preserving_thermalizes():
@@ -100,14 +101,14 @@ def test_run_jx_only_reaches_maximally_mixed():
     cfg = _config(diagonal_coupling(1.0, 0.0, dt=0.05), n=1000,
                   rho0=pure_state(0.3))
     traj = run(cfg)
-    assert trace_distance(traj.final, I2 / 2) < 1e-4
+    assert trace_distance(traj.final, np.zeros(3)) < 1e-4
 
 
 def test_run_zero_coupling_keeps_populations():
     cfg = _config(diagonal_coupling(0.0, 0.0, dt=0.05), n=10,
                   rho0=bloch_state(0.6, 0.0, 0.3))
     traj = run(cfg)
-    for rho in traj.states:
+    for rho in density_matrix(traj.states):
         assert rho[0, 0].real == pytest.approx(0.65, abs=1e-12)
         assert abs(rho[0, 1]) == pytest.approx(0.3, abs=1e-12)
 
@@ -130,11 +131,11 @@ def test_run_semigroup_in_collision_number():
 
 
 def test_run_records_valid_states_throughout():
-    from collisim.linalg import check_density
     cfg = _config(ssc_coupling(1.2, 0.7, -0.9, dt=0.08), n=200,
                   rho0=pure_state(0.1))
-    for rho in run(cfg).states:
-        check_density(rho)
+    for r in run(cfg).states:
+        check_density(r)
+        assert np.linalg.eigvalsh(density_matrix(r)).min() >= -1e-10
 
 
 def test_halving_dt_leaves_state_at_fixed_time_invariant():
@@ -160,18 +161,19 @@ def test_collision_map_superoperator_matches_collide_once():
     rng = np.random.default_rng(55)
     cfg = _config(ssc_coupling(0.6, -0.8, 0.4, dt=0.07))
     u = cfg.unitary()
-    phi = collision_map_superoperator(u, cfg.ancilla.state())
+    t = collision_map_superoperator(u, cfg.ancilla.state)
+    assert np.array_equal(t[0], [1.0, 0.0, 0.0, 0.0])     # trace preservation, exactly
     for _ in range(20):
         rho = random_density(2, rng)
-        direct, _ = collide_once(rho, cfg.ancilla.state(), u)
-        via_super = phi @ rho.flatten(order="F")
-        assert np.max(np.abs(via_super - direct.flatten(order="F"))) < 1e-12
+        direct, _ = collide_once(rho, density_matrix(cfg.ancilla.state), u)
+        via_map = density_matrix(apply_map(t, bloch_vector(rho)))
+        assert np.max(np.abs(via_map - direct)) < 1e-12
 
 
 def test_steady_state_iteration_energy_preserving():
     cfg = _config(diagonal_coupling(1.0, 1.0, dt=0.05), rho0=pure_state(0.3))
     rep = steady_state_by_iteration(cfg)
-    assert trace_distance(rep.rho_star, gibbs_state(cfg.hs, 1.0)) < 1e-6
+    assert trace_distance(rep.r_star, gibbs_state(cfg.hs, 1.0)) < 1e-6
     assert rep.method == "iteration"
     assert rep.beta_eff == pytest.approx(1.0, abs=1e-4)
 
@@ -186,11 +188,11 @@ def test_pure_dephasing_keeps_initial_populations():
     # only J_zy: diagonal states are fixed points, so distinct diagonal
     # initial states land on distinct steady states
     coupling = ssc_coupling(0.0, 0.0, 1.0, dt=0.05)
-    rep_a = steady_state_by_iteration(_config(coupling, rho0=np.diag([0.8, 0.2]).astype(complex)))
-    rep_b = steady_state_by_iteration(_config(coupling, rho0=np.diag([0.3, 0.7]).astype(complex)))
-    assert rep_a.rho_star[0, 0].real == pytest.approx(0.8, abs=1e-6)
-    assert rep_b.rho_star[0, 0].real == pytest.approx(0.3, abs=1e-6)
-    assert trace_distance(rep_a.rho_star, rep_b.rho_star) > 0.4
+    rep_a = steady_state_by_iteration(_config(coupling, rho0=bloch_state(0.0, 0.0, 0.6)))
+    rep_b = steady_state_by_iteration(_config(coupling, rho0=bloch_state(0.0, 0.0, -0.4)))
+    assert (1 + rep_a.r_star[2]) / 2 == pytest.approx(0.8, abs=1e-6)
+    assert (1 + rep_b.r_star[2]) / 2 == pytest.approx(0.3, abs=1e-6)
+    assert trace_distance(rep_a.r_star, rep_b.r_star) > 0.4
 
 
 def test_iteration_has_no_limit_for_a_precessing_state_without_dissipation():
@@ -226,13 +228,14 @@ def test_iteration_under_pure_dephasing_is_the_limit_of_many_collisions():
     # coherence decays; the answer is the spectral projection of rho0
     cfg = _config(ssc_coupling(0.0, 0.0, 1.0, dt=0.05), rho0=pure_state(0.4))
     rep = steady_state_by_iteration(cfg)
-    phi = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state())
-    limit = unvec(np.linalg.matrix_power(phi, 10 ** 6) @ vec(cfg.rho0))
+    t = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state)
+    limit = density_matrix((np.linalg.matrix_power(t, 10 ** 6) @ np.r_[1.0, cfg.rho0])[1:])
+    rho_star = density_matrix(rep.r_star)
     assert rep.degenerate
     # the power carries round-off of about 10^6 eps on the populations
-    assert np.max(np.abs(rep.rho_star - limit)) <= 1e-9
+    assert np.max(np.abs(rho_star - limit)) <= 1e-9
     assert abs(limit[0, 1]) <= 1e-15
-    assert rep.rho_star[0, 0].real == pytest.approx(math.cos(0.4) ** 2, abs=1e-12)
+    assert rho_star[0, 0].real == pytest.approx(math.cos(0.4) ** 2, abs=1e-12)
 
 
 # Weakly coupled configs whose relaxation gap 1 - |l2(Phi)| is 1.5e-6 to
@@ -262,17 +265,19 @@ def test_weak_coupling_steady_state_is_a_fixed_point(tmp_path, coupling):
     report = json.loads((tmp_path / "weak_steady.json").read_text())["iteration"]
     rho = np.array([[complex(*report["rho_star"][r][c]) for c in range(2)] for r in range(2)])
     cfg = parse_run_config(doc).collision_config()
-    phi = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state())
-    assert trace_distance(unvec(phi @ vec(rho)), rho) <= 1e-14
+    t = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state)
+    r = bloch_vector(rho)
+    assert trace_distance(apply_map(t, r), r) <= 1e-14
     assert 0.0 <= report["residual"] < 1e-6
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="n_collisions"):
         _config(diagonal_coupling(1.0, 1.0, dt=0.05), n=0)
-    with pytest.raises(ValueError):
-        _config(diagonal_coupling(1.0, 1.0, dt=0.05),
-                rho0=np.diag([0.8, 0.8]).astype(complex))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        _config(diagonal_coupling(1.0, 1.0, dt=0.05), rho0=bloch_state(0.0, 0.0, 1.0) * 1.6)
+    with pytest.raises(ValueError, match="Bloch vector"):
+        _config(diagonal_coupling(1.0, 1.0, dt=0.05), rho0=np.diag([0.8, 0.2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,17 +294,23 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
     cfg = _config(CouplingSpec(np.reshape(j, (3, 3)), dt=dt), beta=beta, n=n,
                   rho0=bloch_state(*r), omega_s=omegas[0], omega_a=omegas[1])
     traj = run(cfg)
-    u, rho_a = cfg.unitary(), cfg.ancilla.state()
+    u, r_a = cfg.unitary(), cfg.ancilla.state
+    rho_a = density_matrix(r_a)
     h_sa, h_a, h_s = (build_interaction(cfg.coupling), cfg.ancilla.hamiltonian().matrix(),
                       cfg.hs.matrix())
-    k_w, k_q = work_operator(u, h_sa, rho_a), heat_operator(u, h_a, rho_a)
+    k_w, k_q = work_operator(u, h_sa, r_a), heat_operator(u, h_a, r_a)
     led = traj.ledger
-    rho = cfg.rho0
+    rho = density_matrix(cfg.rho0)
     for k in range(n):
-        nxt, _ = collide_once(rho, rho_a, u)
-        assert matrices_close(traj.states[k + 1], nxt, 1e-12)
-        assert led.w[k] == pytest.approx(expectation(k_w, rho), abs=1e-12)
-        assert led.q[k] == pytest.approx(expectation(k_q, rho), abs=1e-12)
+        nxt, joint = collide_once(rho, rho_a, u)
+        assert matrices_close(density_matrix(traj.states[k + 1]), nxt, 1e-12)
+        # the functionals against the joint-state traces they stand for
+        w = np.trace((h_sa - u.conj().T @ h_sa @ u) @ kron(rho, rho_a)).real
+        q = np.trace(kron(np.eye(2), h_a) @ (joint - kron(rho, rho_a))).real
+        assert expectation(k_w, bloch_vector(rho)) == pytest.approx(w, abs=1e-12)
+        assert expectation(k_q, bloch_vector(rho)) == pytest.approx(q, abs=1e-12)
+        assert led.w[k] == pytest.approx(w, abs=1e-12)
+        assert led.q[k] == pytest.approx(q, abs=1e-12)
         assert led.de_s[k] == pytest.approx(np.trace(h_s @ (nxt - rho)).real, abs=1e-12)
         assert led.ds[k] == pytest.approx(entropy(nxt) - entropy(rho), abs=1e-12)
         rho = nxt
@@ -309,7 +320,7 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
 def test_run_rejects_a_map_that_leaves_the_state_space(monkeypatch):
     # the states are checked once, over the whole stack, and never repaired
     import collisim.engine as engine
-    leaky = np.diag([1.0, 1.0, 1.0, 1.001]).astype(complex)  # trace grows each step
-    monkeypatch.setattr(engine, "collision_map_superoperator", lambda u, rho_a: leaky)
-    with pytest.raises(NotAStateError, match="trace"):
+    leaky = np.diag([1.0, 1.0, 1.0, 1.1])   # the Bloch vector grows each step
+    monkeypatch.setattr(engine, "collision_map_superoperator", lambda u, r_a: leaky)
+    with pytest.raises(NotAStateError, match="eigenvalue"):
         run(_config(diagonal_coupling(1.0, 1.0, dt=0.05), n=5))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from collisim.linalg import (NotAStateError, check_density, clamp_to_density,
-                             exp_minus_i, kron, partial_trace, trace_distance,
-                             unvec, vec)
-from collisim.model import I2, SIGMA_X, SIGMA_Z
+from collisim.engine import PAULI_BASIS
+from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density,
+                             exp_minus_i, kron, trace_distance)
+from collisim.model import I2, PAULI4, SIGMA_X, SIGMA_Z, density_matrix
 
-from conftest import matrices_close, random_density, random_hermitian
+from conftest import (bloch_vector, eigen_trace_distance, matrices_close, partial_trace,
+                      random_bloch, random_density, random_hermitian)
 
 I4 = np.eye(4, dtype=complex)
 
@@ -122,38 +123,58 @@ def test_exp_minus_i_unitary():
         assert matrices_close(u.conj().T @ u, I4, 1e-10)
 
 
-def test_check_density_rejects_trace():
+def test_check_density_rejects_a_vector_outside_the_ball():
+    # eigenvalues (1 +- |r|)/2: |r| = 1.2 has the eigenvalue -0.1
+    with pytest.raises(NotAStateError, match="eigenvalue -1.000e-01"):
+        check_density(np.array([0.0, 0.72, 0.96]))
     with pytest.raises(NotAStateError):
-        check_density(np.diag([0.6, 0.6]).astype(complex))
+        check_density(np.array([[0.0, 0.0, 0.5], [np.nan, 0.0, 0.0]]))
+    assert check_density(np.array([0.0, 0.0, 1.0 + 2 * PSD_TOL])) == pytest.approx(1.0)
 
 
 def test_clamp_to_density_fixes_round_off():
-    rho = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
-    fixed = clamp_to_density(rho)
-    w = np.linalg.eigvalsh(fixed)
-    assert w.min() >= 0
-    assert np.trace(fixed).real == pytest.approx(1.0, abs=1e-14)
+    r = np.array([0.0, 0.0, 1.0 + 1e-10])     # eigenvalues 1 + 5e-11 and -5e-11
+    fixed = clamp_to_density(r)
+    assert np.linalg.eigvalsh(density_matrix(fixed)).min() >= -1e-16
+    assert np.linalg.norm(fixed) == pytest.approx(1.0, abs=1e-15)
+    inside = np.array([0.3, -0.2, 0.1])
+    assert clamp_to_density(inside) is inside
 
 
 def test_clamp_to_density_rejects_genuinely_negative():
     with pytest.raises(NotAStateError):
-        clamp_to_density(np.diag([1.2, -0.2]).astype(complex))
+        clamp_to_density(np.array([0.0, 0.0, 1.4]))     # eigenvalue -0.2
 
 
 def test_trace_distance_basics():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
+    a, b = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
     assert trace_distance(a, b) == pytest.approx(1.0)
     assert trace_distance(a, a) == pytest.approx(0.0)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        rho, sigma = random_density(2, rng), random_density(2, rng)
+        assert trace_distance(bloch_vector(rho), bloch_vector(sigma)) == pytest.approx(
+            eigen_trace_distance(rho, sigma), abs=1e-14)
 
 
 def test_vec_unvec_roundtrip_and_convention():
+    # the collision map is built on column-stacked states and written in the
+    # orthonormal PAULI_BASIS / sqrt(2), in which rho = (I + r . sigma)/2
+    # reads (1, r)/sqrt(2)
     rng = np.random.default_rng(19)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = random_density(2, rng)
-    assert matrices_close(unvec(vec(rho)), rho, 1e-15)
+
+    def vec(m):
+        return m.T.ravel()
     # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
-    lhs = vec(a @ rho @ b)
-    rhs = kron(b.T, a) @ vec(rho)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    assert np.max(np.abs(vec(a @ rho @ b) - kron(b.T, a) @ vec(rho))) < 1e-12
+    basis = PAULI_BASIS / np.sqrt(2)
+    assert matrices_close(basis.conj().T @ basis, np.eye(4), 1e-15)
+    for mu in range(4):
+        assert np.array_equal(PAULI_BASIS[:, mu], vec(PAULI4[mu]))
+    r = random_bloch(rng)
+    assert np.max(np.abs(basis.conj().T @ vec(density_matrix(r))
+                         - np.r_[1.0, r] / np.sqrt(2))) < 1e-15
+    assert matrices_close(density_matrix(bloch_vector(rho)), rho, 1e-15)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from collisim.engine import CollisionConfig, run, steady_state_by_iteration
+from collisim.engine import PAULI_BASIS, CollisionConfig, run, steady_state_by_iteration
 from collisim.lindblad import (GKSLGenerator, build_generator, steady_state_kernel,
-                               steady_state_of, vectorize)
-from collisim.linalg import dagger, kron, trace_distance, unvec, vec
-from collisim.model import (I2, SIGMA_X, AncillaPrep, CouplingSpec,
-                            QubitHamiltonian, diagonal_coupling, gibbs_state,
-                            pure_state, ssc_coupling)
+                               steady_state_of)
+from collisim.linalg import dagger, kron, trace_distance
+from collisim.model import (I2, PAULIS, AncillaPrep, CouplingSpec,
+                            QubitHamiltonian, density_matrix, diagonal_coupling,
+                            gibbs_state, pure_state, ssc_coupling)
 
-from conftest import evolve_continuous, matrices_close, random_density, reference
+from conftest import (bloch_vector, evolve_continuous, matrices_close, partial_trace,
+                      random_bloch, random_density, reference)
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -18,15 +19,17 @@ TANH_HALF = np.tanh(0.5)
 
 
 def apply_generator(gen, rho):
-    """L(rho) through the vectorized generator."""
-    return unvec(vectorize(gen) @ vec(rho))
+    """L(rho) = (dr/dt . sigma)/2 through the generator's matrix on (1, r)."""
+    r_dot = (gen.matrix() @ np.r_[1.0, bloch_vector(rho)])[1:]
+    return density_matrix(r_dot) - I2 / 2
 
 
 def looped_generator(gen, rho):
-    """L(rho) term by term from the GKSL form: the reference for vectorize."""
-    out = -1j * (gen.h_sys @ rho - rho @ gen.h_sys)
-    for jj, s_j in enumerate(gen.jumps):
-        for kk, s_k in enumerate(gen.jumps):
+    """L(rho) term by term from the GKSL form: the reference for gen.matrix()."""
+    h = gen.omega / 2 * PAULIS[2]
+    out = -1j * (h @ rho - rho @ h)
+    for jj, s_j in enumerate(PAULIS):
+        for kk, s_k in enumerate(PAULIS):
             sks = dagger(s_k) @ s_j
             out = out + gen.rates[jj, kk] * (s_j @ rho @ dagger(s_k) - 0.5 * (sks @ rho + rho @ sks))
     return out
@@ -40,14 +43,14 @@ def _random_coupling(rng, scale=1.0):
 
 def test_generator_jx_only_single_unit_rate():
     gen = build_generator(diagonal_coupling(1.0, 0.0, dt=0.05), HS, ANC)
-    assert len(gen.jumps) == 1
-    assert matrices_close(gen.jumps[0], SIGMA_X, 1e-15)
+    # one jump, sigma_x, at unit rate; the y and z jumps have zero rates
     assert gen.rates[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert matrices_close(gen.rates, np.diag([gen.rates[0, 0], 0.0, 0.0]), 0.0)
 
 
 def test_generator_zero_coupling_is_hamiltonian_only():
     gen = build_generator(diagonal_coupling(0.0, 0.0, dt=0.05), HS, ANC)
-    assert gen.jumps == ()
+    assert not np.any(gen.rates)
     rng = np.random.default_rng(61)
     rho = random_density(2, rng)
     expected = -1j * (HS.matrix() @ rho - rho @ HS.matrix())
@@ -60,13 +63,13 @@ def test_generator_zero_temperature_gives_pure_decay():
     gen = build_generator(diagonal_coupling(1.0, 1.0, dt=0.05), HS,
                           AncillaPrep(beta=np.inf, omega_a=1.0))
     w, v = np.linalg.eigh(gen.rates)
-    assert w[0] == pytest.approx(0.0, abs=1e-12)
-    assert w[1] == pytest.approx(2.0, abs=1e-12)
-    jump = sum(v[j, 1] * gen.jumps[j] for j in range(len(gen.jumps)))
+    assert np.max(np.abs(w[:2])) == pytest.approx(0.0, abs=1e-12)
+    assert w[2] == pytest.approx(2.0, abs=1e-12)
+    jump = sum(v[j, 2] * PAULIS[j] for j in range(3))
     # the decay channel is proportional to sigma_minus, |e><g| part vanishes
     assert abs(jump[0, 1]) < 1e-12
     scale = abs(jump[1, 0]) ** 2
-    assert w[1] * scale == pytest.approx(4.0, abs=1e-12)
+    assert w[2] * scale == pytest.approx(4.0, abs=1e-12)
 
 
 def test_rate_matrix_hermitian_psd_for_random_couplings():
@@ -81,8 +84,7 @@ def test_rate_matrix_hermitian_psd_for_random_couplings():
 
 def test_generator_rejects_non_psd_rates():
     with pytest.raises(ValueError, match="PSD"):
-        GKSLGenerator(h_sys=HS.matrix(), jumps=(SIGMA_X,),
-                      rates=np.array([[-1.0]], dtype=complex))
+        GKSLGenerator(omega=1.0, rates=np.diag([-1.0, 0.0, 0.0]).astype(complex))
 
 
 def test_generator_is_trace_free():
@@ -96,7 +98,7 @@ def test_generator_is_trace_free():
 
 def test_thermal_state_in_kernel_energy_preserving():
     gen = build_generator(diagonal_coupling(1.0, 1.0, dt=0.05), HS, ANC)
-    out = apply_generator(gen, gibbs_state(HS, 1.0))
+    out = apply_generator(gen, density_matrix(gibbs_state(HS, 1.0)))
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -106,41 +108,45 @@ def test_maximally_mixed_in_kernel_jx_only():
 
 
 def test_vectorize_hamiltonian_only():
+    # gen.matrix() is L on column-stacked states in the orthonormal Pauli basis:
+    # here -i[H, .], a rotation about z at omega
     gen = build_generator(diagonal_coupling(0.0, 0.0, dt=0.05), HS, ANC)
     h = HS.matrix()
-    expected = -1j * (kron(I2, h) - kron(h.T, I2))
-    assert matrices_close(vectorize(gen), expected, 1e-14)
+    vectorized = -1j * (kron(I2, h) - kron(h.T, I2))
+    basis = PAULI_BASIS / np.sqrt(2)
+    assert matrices_close(gen.matrix(), basis.conj().T @ vectorized @ basis, 1e-14)
+    expected = np.zeros((4, 4))
+    expected[1, 2], expected[2, 1] = -HS.omega, HS.omega
+    assert matrices_close(gen.matrix(), expected, 1e-15)
 
 
 def test_vectorize_zero_generator():
-    gen = GKSLGenerator(h_sys=np.zeros((2, 2), dtype=complex), jumps=(),
-                        rates=np.zeros((0, 0), dtype=complex))
-    assert np.max(np.abs(vectorize(gen))) == 0.0
+    gen = GKSLGenerator(omega=0.0, rates=np.zeros((3, 3), dtype=complex))
+    assert np.max(np.abs(gen.matrix())) == 0.0
 
 
 def test_vectorize_agrees_with_direct_application():
     rng = np.random.default_rng(64)
     gen = build_generator(ssc_coupling(1.0, -0.4, 0.7, dt=0.05), HS, ANC)
-    superop = vectorize(gen)
+    assert np.array_equal(gen.matrix()[0], np.zeros(4))     # trace preserving
     for _ in range(100):
         rho = random_density(2, rng)
-        direct = looped_generator(gen, rho)
-        via = superop @ vec(rho)
-        assert np.max(np.abs(via - vec(direct))) < 1e-12
+        assert np.max(np.abs(apply_generator(gen, rho) - looped_generator(gen, rho))) < 1e-12
 
 
 def test_kernel_energy_preserving_thermal_values():
     rep = steady_state_of(diagonal_coupling(1.0, 1.0, dt=0.05), HS, ANC)
     assert not rep.degenerate
-    assert rep.rho_star[0, 0].real == pytest.approx(0.268941, abs=1e-6)
-    assert rep.rho_star[1, 1].real == pytest.approx(0.731059, abs=1e-6)
+    rho = density_matrix(rep.r_star)
+    assert rho[0, 0].real == pytest.approx(0.268941, abs=1e-6)
+    assert rho[1, 1].real == pytest.approx(0.731059, abs=1e-6)
     assert rep.residual < 1e-10
     assert rep.beta_eff == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_jx_only_maximally_mixed():
     rep = steady_state_of(diagonal_coupling(1.0, 0.0, dt=0.05), HS, ANC)
-    assert matrices_close(rep.rho_star, I2 / 2, 1e-10)
+    assert matrices_close(density_matrix(rep.r_star), I2 / 2, 1e-10)
     assert rep.beta_eff == pytest.approx(0.0, abs=1e-10)
 
 
@@ -168,8 +174,8 @@ def test_kernel_unique_for_ssc_family():
 def test_evolve_zero_time_is_identity():
     rng = np.random.default_rng(65)
     gen = build_generator(_random_coupling(rng), HS, ANC)
-    rho = random_density(2, rng)
-    assert matrices_close(evolve_continuous(gen, rho, 0.0), rho, 1e-12)
+    r = random_bloch(rng)
+    assert matrices_close(evolve_continuous(gen, r, 0.0), r, 1e-12)
 
 
 def test_evolve_long_time_thermalizes():
@@ -181,7 +187,7 @@ def test_evolve_long_time_thermalizes():
 def test_evolve_semigroup_property():
     rng = np.random.default_rng(66)
     gen = build_generator(ssc_coupling(0.8, 0.3, -0.5, dt=0.05), HS, ANC)
-    rho = random_density(2, rng)
+    rho = random_bloch(rng)
     for t1, t2 in ((0.5, 1.3), (2.0, 0.7)):
         a = evolve_continuous(gen, evolve_continuous(gen, rho, t2), t1)
         b = evolve_continuous(gen, rho, t1 + t2)
@@ -206,7 +212,7 @@ def test_kernel_matches_long_time_reference_evolution():
         rho0 = random_density(2, rng)
         late = (scipy.linalg.expm(200.0 * gen) @ rho0.ravel()).reshape(2, 2)
         assert not rep.degenerate
-        assert trace_distance(rep.rho_star, late) < 1e-10
+        assert trace_distance(rep.r_star, bloch_vector(late)) < 1e-10
         checked += 1
     assert checked >= 10
 
@@ -252,7 +258,7 @@ def iterate_with_dt_ladder(coupling, hs, anc, rho0, dts=(1e-3, 1e-4, 1e-5),
                               coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
                               n_collisions=1, rho0=rho)
         rep = steady_state_by_iteration(cfg, tol=tol)
-        rho = rep.rho_star
+        rho = rep.r_star
     return rep
 
 
@@ -266,8 +272,8 @@ def test_kernel_matches_iteration_smoke():
         rep_k = steady_state_of(coupling, HS, ANC)
         if rep_k.degenerate:
             continue
-        rep_i = iterate_with_dt_ladder(coupling, HS, ANC, I2 / 2)
-        assert trace_distance(rep_k.rho_star, rep_i.rho_star) < 1e-6
+        rep_i = iterate_with_dt_ladder(coupling, HS, ANC, np.zeros(3))
+        assert trace_distance(rep_k.r_star, rep_i.r_star) < 1e-6
         checked += 1
     assert checked >= 2
 
@@ -276,7 +282,6 @@ def test_generator_matches_basis_free_expansion():
     # independent route: the defining second-order collision expansion
     # L(rho) = -i[H_S, rho] + Tr_A[V (rho x rho_th) V] - (1/2) Tr_A[{V^2, rho x rho_th}]
     # evaluated without any jump-basis choice must equal the Pauli-basis build
-    from collisim.linalg import partial_trace
     from collisim.model import build_interaction
     rng = np.random.default_rng(68)
     for _ in range(20):
@@ -285,7 +290,7 @@ def test_generator_matches_basis_free_expansion():
         coupling = CouplingSpec(j, dt=0.05)
         gen = build_generator(coupling, HS, ANC)
         v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-        rho_th = ANC.state()
+        rho_th = density_matrix(ANC.state)
         for _ in range(5):
             rho = random_density(2, rng)
             joint = kron(rho, rho_th)
@@ -298,7 +303,7 @@ def test_generator_matches_basis_free_expansion():
 
 def test_kernel_without_hamiltonian_reports_zero_residual_state():
     gen = build_generator(diagonal_coupling(1.0, 0.5, dt=0.05), HS, ANC)
-    rep = steady_state_kernel(vectorize(gen))
+    rep = steady_state_kernel(gen.matrix())
     assert rep.residual < 1e-10
-    out = apply_generator(gen, rep.rho_star)
+    out = apply_generator(gen, density_matrix(rep.r_star))
     assert np.max(np.abs(out)) < 1e-10

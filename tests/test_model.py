@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from collisim.linalg import kron, partial_trace
+import scipy.linalg
+
+from collisim.linalg import kron
 from collisim.model import (I2, SIGMA_X, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, SscAngles, bloch_state,
-                            build_interaction, collision_unitary,
+                            build_interaction, collision_unitary, density_matrix,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling, ssc_to_coupling)
 
-from conftest import coupling_to_ssc, matrices_close, random_density
+from conftest import coupling_to_ssc, matrices_close, partial_trace, random_density
 
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
@@ -17,11 +19,12 @@ TANH_HALF = np.tanh(0.5)  # 0.46211715726...
 
 
 def test_gibbs_infinite_temperature():
-    assert matrices_close(gibbs_state(QubitHamiltonian(1.0), 0.0), I2 / 2, 1e-14)
+    assert matrices_close(density_matrix(gibbs_state(QubitHamiltonian(1.0), 0.0)), I2 / 2, 1e-14)
 
 
 def test_gibbs_closed_form_beta_one():
-    rho = gibbs_state(QubitHamiltonian(1.0), 1.0)
+    assert matrices_close(gibbs_state(QubitHamiltonian(1.0), 1.0), [0.0, 0.0, -TANH_HALF], 1e-16)
+    rho = density_matrix(gibbs_state(QubitHamiltonian(1.0), 1.0))
     expected = np.diag([(1 - TANH_HALF) / 2, (1 + TANH_HALF) / 2])
     assert matrices_close(rho, expected, 1e-12)
     assert rho[0, 0].real == pytest.approx(0.268941, abs=1e-6)
@@ -29,12 +32,12 @@ def test_gibbs_closed_form_beta_one():
 
 
 def test_gibbs_zero_temperature_projects_on_ground():
-    rho = gibbs_state(QubitHamiltonian(1.0), np.inf)
+    rho = density_matrix(gibbs_state(QubitHamiltonian(1.0), np.inf))
     assert matrices_close(rho, np.diag([0.0, 1.0]), 1e-14)
 
 
 def test_gibbs_negative_infinite_beta():
-    rho = gibbs_state(QubitHamiltonian(1.0), -np.inf)
+    rho = density_matrix(gibbs_state(QubitHamiltonian(1.0), -np.inf))
     assert matrices_close(rho, np.diag([1.0, 0.0]), 1e-14)
 
 
@@ -44,23 +47,26 @@ def test_gibbs_infinite_beta_degenerate_errors():
 
 
 def test_gibbs_negative_beta_inverts_populations():
-    rho = gibbs_state(QubitHamiltonian(1.0), -2.0)
+    rho = density_matrix(gibbs_state(QubitHamiltonian(1.0), -2.0))
     assert rho[0, 0].real > rho[1, 1].real
 
 
 def test_gibbs_large_beta_no_overflow():
-    rho = gibbs_state(QubitHamiltonian(3.0), 500.0)
+    rho = density_matrix(gibbs_state(QubitHamiltonian(3.0), 500.0))
     assert np.all(np.isfinite(rho))
     assert rho[1, 1].real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gibbs_commutes_with_hamiltonian():
+    # the closed form against exp(-beta H)/Z, which commutes with H
     rng = np.random.default_rng(21)
     for _ in range(20):
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        h = (h + h.conj().T) / 2
-        rho = gibbs_state(h, rng.uniform(-3, 3))
-        assert matrices_close(h @ rho, rho @ h, 1e-12)
+        h = QubitHamiltonian(rng.uniform(-3, 3))
+        beta = rng.uniform(-3, 3)
+        rho = density_matrix(gibbs_state(h, beta))
+        expected = scipy.linalg.expm(-beta * h.matrix())
+        assert matrices_close(rho, expected / np.trace(expected), 1e-12)
+        assert matrices_close(h.matrix() @ rho, rho @ h.matrix(), 1e-12)
 
 
 def test_build_interaction_single_term():
@@ -83,7 +89,7 @@ def test_build_interaction_sqrt_dt_scaling():
 def test_interaction_zero_thermal_odd_moment():
     # families without a sigma_z ancilla column have traceless ancilla factors
     rng = np.random.default_rng(22)
-    rho_th = gibbs_state(QubitHamiltonian(1.0), 1.3)
+    rho_th = density_matrix(gibbs_state(QubitHamiltonian(1.0), 1.3))
     for _ in range(25):
         j = np.zeros((3, 3))
         j[:, 0] = rng.uniform(-2, 2, 3)
@@ -192,7 +198,7 @@ def test_collision_unitary_conserves_total_energy():
 
 
 def test_bloch_state_validation():
-    rho = bloch_state(0.0, 0.0, 1.0)
+    rho = density_matrix(bloch_state(0.0, 0.0, 1.0))
     assert matrices_close(rho, np.diag([1.0, 0.0]), 1e-14)
     with pytest.raises(ValueError, match="norm"):
         bloch_state(1.0, 1.0, 1.0)
@@ -200,7 +206,9 @@ def test_bloch_state_validation():
 
 def test_pure_state_fig3_angle():
     theta = 15 * np.pi / 16
-    rho = pure_state(theta)
+    rho = density_matrix(pure_state(theta, 0.7))
+    ket = np.array([np.cos(theta), np.exp(0.7j) * np.sin(theta)])
+    assert matrices_close(rho, np.outer(ket, ket.conj()), 1e-15)
     assert rho[0, 0].real == pytest.approx(np.cos(theta) ** 2)
     assert np.trace(rho @ rho).real == pytest.approx(1.0)
 
@@ -218,4 +226,5 @@ def test_coupling_spec_validation():
 
 def test_ancilla_prep_state_matches_gibbs():
     prep = AncillaPrep(beta=2.0, omega_a=1.5)
-    assert matrices_close(prep.state(), gibbs_state(QubitHamiltonian(1.5), 2.0), 1e-14)
+    assert matrices_close(prep.state, gibbs_state(QubitHamiltonian(1.5), 2.0), 1e-14)
+    assert prep.state is prep.state     # built once per ancilla

@@ -14,12 +14,20 @@ from collisim.engine import (CollisionConfig, NoSteadyStateError,
                              collision_map_superoperator, run, steady_state_by_iteration)
 from collisim.lindblad import steady_state_of
 from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density, kron,
-                             trace_distance, unvec, vec)
-from collisim.model import AncillaPrep, CouplingSpec, QubitHamiltonian
+                             trace_distance)
+from collisim.model import PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian, density_matrix
 
-from conftest import collide_once, random_density
+from conftest import apply_map, bloch_vector, collide_once, random_bloch, random_density
 
 BASIS = [np.outer(np.eye(2)[i], np.eye(2)[j]).astype(complex) for i in range(2) for j in range(2)]
+
+
+def _linear_image(t, x):
+    """The image of any 2x2 matrix x under the linear map whose Pauli transfer
+    matrix is t: x = sum_mu x_mu sigma_mu / 2, with x_mu = Tr[sigma_mu x], goes
+    to sum_mu (t x)_mu sigma_mu / 2."""
+    coords = np.einsum("mij,ji->m", PAULI4, x)
+    return np.einsum("...m,mij->...ij", (t @ coords), PAULI4) / 2
 
 points = st.integers(1, 5).flatmap(lambda p: st.tuples(
     st.lists(st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9), min_size=p, max_size=p),
@@ -32,7 +40,7 @@ def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None):
 
     rho0, if given, is a stack with one state per point.
     """
-    rho0 = np.array([np.diag([0.9, 0.1]).astype(complex)] * len(beta)) if rho0 is None else rho0
+    rho0 = np.array([[0.0, 0.0, 0.8]] * len(beta)) if rho0 is None else rho0
 
     def config(j, beta, rho0):
         return CollisionConfig(
@@ -44,7 +52,7 @@ def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None):
 
 
 def _maps(cfg):
-    return collision_map_superoperator(cfg.unitary(), cfg.ancilla.state())
+    return collision_map_superoperator(cfg.unitary(), cfg.ancilla.state)
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,10 +64,10 @@ def test_stacked_maps_match_single_points_and_are_cptp(grid, dt, omega_s, omega_
     rho = random_density(2, np.random.default_rng(seed))
     for phi, cfg in zip(phis, singles):
         assert np.max(np.abs(phi - _maps(cfg))) <= 1e-14
-        direct, _ = collide_once(rho, cfg.ancilla.state(), cfg.unitary())
-        assert np.max(np.abs(phi @ vec(rho) - vec(direct))) <= 1e-12
+        direct, _ = collide_once(rho, density_matrix(cfg.ancilla.state), cfg.unitary())
+        assert np.max(np.abs(density_matrix(apply_map(phi, bloch_vector(rho))) - direct)) <= 1e-12
     # Choi matrix sum_ij |i><j| (x) Phi(|i><j|), and Tr Phi(E_ij) = delta_ij
-    images = [unvec(phis @ vec(e)) for e in BASIS]
+    images = [_linear_image(phis, e) for e in BASIS]
     choi = sum(kron(e, img) for e, img in zip(BASIS, images))
     assert np.linalg.eigvalsh(choi).min() >= -1e-12
     for e, img in zip(BASIS, images):
@@ -74,16 +82,18 @@ def test_stacked_clamp_equals_per_state_and_raises_on_any_bad_state(p, seed, shi
 
     def state():
         # full rank, pure, or pure with a round-off-sized negative eigenvalue
+        # (1 - |r|)/2 = -shift
         kind = rng.integers(0, 3)
         if kind == 0:
-            return random_density(2, rng)
-        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
-        return np.outer(ket, ket.conj()) / np.vdot(ket, ket).real - (kind == 2) * shift * np.eye(2)
+            return random_bloch(rng)
+        r = rng.normal(size=3)
+        return r / np.linalg.norm(r) * (1 + 2 * shift * (kind == 2))
     states = np.array([state() for _ in range(p)])
     stacked = clamp_to_density(states)
     for state, out in zip(states, stacked):
         assert np.array_equal(out, clamp_to_density(state))
-    states[bad % p] = np.diag([1.0 + 1e-6, -1e-6])
+        assert np.linalg.eigvalsh(density_matrix(out)).min() >= -1e-15
+    states[bad % p] = [0.0, 0.0, 1.0 + 2e-6]    # eigenvalue -1e-6
     with pytest.raises(NotAStateError):
         clamp_to_density(states)
 
@@ -108,7 +118,8 @@ def test_stacked_kernel_solve_matches_single_point_reports(grid, omega_s, omega_
         assert bool(rep.degenerate[k]) == single.degenerate
         if single.degenerate:
             continue    # the kernel is not one state; any vector of it is an answer
-        assert np.max(np.abs(rep.rho_star[k] - single.rho_star)) <= 1e-12
+        rho_k, rho_single = density_matrix(rep.r_star[k]), density_matrix(single.r_star)
+        assert np.max(np.abs(rho_k - rho_single)) <= 1e-12
         for key in ("coherence_l1", "ergotropy", "residual"):
             assert getattr(rep, key)[k] == pytest.approx(getattr(single, key), abs=1e-12)
         if single.beta_eff is None:
@@ -125,13 +136,14 @@ def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, 
     # every stack mixes finite beta with both zero-temperature limits
     j, beta = j + [j[0], j[-1]], beta + [math.inf, -math.inf]
     rng = np.random.default_rng(seed)
-    rho0 = np.array([random_density(2, rng) for _ in beta])
+    rho0 = np.array([random_bloch(rng) for _ in beta])
     stacked, singles = _grid(j, beta, dt, omega_s, omega_a, n, rho0)
     traj = run(stacked)
-    assert traj.states.shape == (len(beta), n + 1, 2, 2)
+    assert traj.states.shape == (len(beta), n + 1, 3)
     for k, cfg in enumerate(singles):
         single = run(cfg)
-        assert np.max(np.abs(traj.states[k] - single.states)) <= 1e-12
+        rho_k, rho_single = density_matrix(traj.states[k]), density_matrix(single.states)
+        assert np.max(np.abs(rho_k - rho_single)) <= 1e-12
         for key in ("w", "q", "de_s", "ds", "sigma"):
             assert getattr(traj.ledger, key).shape == (len(beta), n)
             np.testing.assert_allclose(getattr(traj.ledger, key)[k],
@@ -146,19 +158,19 @@ def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, 
 def test_iterated_state_is_the_limit_of_the_collision_map(j, beta, dt, omega_s, omega_a, seed):
     n = 10 ** 4
     (cfg,) = _grid([j], [beta], dt, omega_s, omega_a,
-                   rho0=np.array([random_density(2, np.random.default_rng(seed))]))[1]
+                   rho0=np.array([random_bloch(np.random.default_rng(seed))]))[1]
     phi = _maps(cfg)
-    after_n = unvec(np.linalg.matrix_power(phi, n) @ vec(cfg.rho0))
+    after_n = (np.linalg.matrix_power(phi, n) @ np.r_[1.0, cfg.rho0])[1:]
     try:
         rep = steady_state_by_iteration(cfg)
     except NoSteadyStateError:
         # no limit: n collisions later, one more still moves the state
-        step = trace_distance(unvec(phi @ vec(after_n)), after_n)
+        step = trace_distance(apply_map(phi, after_n), after_n)
         assert step >= 0.5 * cfg.convergence_tol * dt
         return
-    rho = rep.rho_star
+    rho = rep.r_star
     check_density(rho)
-    assert trace_distance(unvec(phi @ vec(rho)), rho) <= 1e-13
+    assert trace_distance(apply_map(phi, rho), rho) <= 1e-13
     assert math.isfinite(rep.residual) and rep.residual >= 0
     moduli = np.sort(np.abs(np.linalg.eigvals(phi)))
     if moduli[-2] ** n < 1e-14:
@@ -189,7 +201,7 @@ def _counting_runs(monkeypatch):
 
     def counted(cfg):
         traj = run(cfg)
-        sizes.append(traj.states[..., 0, 0, 0].size)
+        sizes.append(traj.states[..., 0, 0].size)
         return traj
     monkeypatch.setattr(cli, "run", counted)
     return sizes

@@ -5,13 +5,16 @@ from collisim.config import parse_run_config
 from collisim.engine import CollisionConfig, run
 from collisim.linalg import kron
 from collisim.model import (I2, SIGMA_Z, AncillaPrep, CouplingSpec,
-                            QubitHamiltonian, build_interaction,
-                            collision_unitary, diagonal_coupling, gibbs_state)
+                            QubitHamiltonian, bloch_state, build_interaction,
+                            collision_unitary, density_matrix, diagonal_coupling,
+                            gibbs_state)
 from collisim.thermo import current_evaluators, expectation, heat_operator, work_operator
 
-from conftest import (collide_once, entropy, entropy_production_collision,
-                      mutual_information, random_density, relative_entropy,
+from conftest import (bloch_vector, collide_once, entropy, entropy_production_collision,
+                      mutual_information, random_bloch, random_density, relative_entropy,
                       weak_coupling_sigma_rate)
+
+MIXED = np.zeros(3)
 
 TANH_HALF = np.tanh(0.5)
 
@@ -66,7 +69,7 @@ def test_mutual_information_product_state_is_zero():
 
 def test_work_and_heat_vanish_for_identity_propagator():
     rng = np.random.default_rng(34)
-    rho_s = random_density(2, rng)
+    rho_s = random_bloch(rng)
     rho_a = gibbs_state(QubitHamiltonian(1.0), 1.0)
     hsa = build_interaction(diagonal_coupling(1.0, 0.3, dt=0.1))
     u = np.eye(4, dtype=complex)
@@ -81,7 +84,7 @@ def test_energy_preserving_work_is_machine_zero():
         coupling = diagonal_coupling(1.0, 1.0, dt=dt)
         hs, ha, hsa, u = _collision_operators(coupling)
         for _ in range(20):
-            w = expectation(work_operator(u, hsa, gibbs_state(ha, 1.0)), random_density(2, rng))
+            w = expectation(work_operator(u, hsa, gibbs_state(ha, 1.0)), random_bloch(rng))
             assert abs(w) < 1e-12
 
 
@@ -94,10 +97,10 @@ def test_first_law_random_couplings():
         hs, ha, hsa, u = _collision_operators(coupling)
         rho_s = random_density(2, rng)
         beta = rng.uniform(-3, 3)
-        rho_a = gibbs_state(ha, beta)
-        w = expectation(work_operator(u, hsa, rho_a), rho_s)
-        q = expectation(heat_operator(u, ha.matrix(), rho_a), rho_s)
-        rho_next, _ = collide_once(rho_s, rho_a, u)
+        r_a = gibbs_state(ha, beta)
+        w = expectation(work_operator(u, hsa, r_a), bloch_vector(rho_s))
+        q = expectation(heat_operator(u, ha.matrix(), r_a), bloch_vector(rho_s))
+        rho_next, _ = collide_once(rho_s, density_matrix(r_a), u)
         de_s = np.trace(hs.matrix() @ (rho_next - rho_s)).real
         assert abs(de_s - w + q) < 1e-11
 
@@ -107,8 +110,8 @@ def test_work_rate_matches_current_at_small_dt():
     coupling = diagonal_coupling(1.0, 0.0, dt=1e-4)
     hs, ha, hsa, u = _collision_operators(coupling)
     rho_a = gibbs_state(ha, 1.0)
-    w = expectation(work_operator(u, hsa, rho_a), I2 / 2)
-    q = expectation(heat_operator(u, ha.matrix(), rho_a), I2 / 2)
+    w = expectation(work_operator(u, hsa, rho_a), MIXED)
+    q = expectation(heat_operator(u, ha.matrix(), rho_a), MIXED)
     assert w / coupling.dt == pytest.approx(TANH_HALF, abs=1e-3)
     assert q / coupling.dt == pytest.approx(TANH_HALF, abs=1e-3)
 
@@ -118,7 +121,7 @@ def test_work_rate_matches_current_at_small_dt():
 def test_currents_vanish_for_zero_coupling():
     coupling = diagonal_coupling(0.0, 0.0, dt=0.05)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
-    assert current_evaluators(coupling, QubitHamiltonian(1.0), anc)(I2 / 2) == (0.0, 0.0)
+    assert current_evaluators(coupling, QubitHamiltonian(1.0), anc)(MIXED) == (0.0, 0.0)
 
 
 def test_work_current_energy_preserving_is_zero_everywhere():
@@ -130,8 +133,7 @@ def test_work_current_energy_preserving_is_zero_everywhere():
     hs = QubitHamiltonian(1.0)
     currents = current_evaluators(coupling, hs, anc)
     for _ in range(20):
-        rho = random_density(2, rng)
-        assert abs(currents(rho)[0]) < 1e-12
+        assert abs(currents(random_bloch(rng))[0]) < 1e-12
     assert abs(currents(gibbs_state(hs, 1.0))[1]) < 1e-12
 
 
@@ -142,10 +144,9 @@ def test_work_current_closed_form_jx_only():
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     currents = current_evaluators(coupling, QubitHamiltonian(1.0), anc)
     for z in (-0.7, 0.0, 0.4):
-        rho = np.diag([(1 + z) / 2, (1 - z) / 2]).astype(complex)
         expected = TANH_HALF - 1.0 * z
-        assert currents(rho)[0] == pytest.approx(expected, abs=1e-12)
-    assert currents(I2 / 2)[1] == pytest.approx(TANH_HALF, abs=1e-12)
+        assert currents(bloch_state(0.0, 0.0, z))[0] == pytest.approx(expected, abs=1e-12)
+    assert currents(MIXED)[1] == pytest.approx(TANH_HALF, abs=1e-12)
 
 
 def test_work_current_equals_double_commutator_form():
@@ -158,11 +159,12 @@ def test_work_current_equals_double_commutator_form():
         v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
         h0 = kron(hs.matrix(), I2) + kron(I2, anc.hamiltonian().matrix())
         rho = random_density(2, rng)
-        joint = kron(rho, anc.state())
+        joint = kron(rho, density_matrix(anc.state))
         inner = v @ h0 - h0 @ v
         dbl = v @ inner - inner @ v
         expected = -0.5 * np.trace(dbl @ joint).real
-        assert current_evaluators(coupling, hs, anc)(rho)[0] == pytest.approx(expected, abs=1e-11)
+        assert current_evaluators(coupling, hs, anc)(bloch_vector(rho))[0] == pytest.approx(
+            expected, abs=1e-11)
 
 
 def test_current_evaluators_match_single_shot_functions():
@@ -174,7 +176,7 @@ def test_current_evaluators_match_single_shot_functions():
     # kernel does not involve H_S
     currents = current_evaluators(coupling, hs, anc)
     without_hs = current_evaluators(coupling, QubitHamiltonian(0.0), anc)
-    rhos = np.array([random_density(2, rng) for _ in range(10)])
+    rhos = np.array([random_bloch(rng) for _ in range(10)])
     for rho, w_dot, q_dot in zip(rhos, *currents(rhos)):
         assert w_dot == pytest.approx(currents(rho)[0], abs=1e-13)
         assert q_dot == pytest.approx(without_hs(rho)[1], abs=1e-13)
@@ -185,7 +187,7 @@ def test_heat_current_independent_of_system_state_jx_only():
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     rng = np.random.default_rng(39)
     currents = current_evaluators(coupling, QubitHamiltonian(1.0), anc)
-    vals = [currents(random_density(2, rng))[1] for _ in range(10)]
+    vals = [currents(random_bloch(rng))[1] for _ in range(10)]
     assert np.ptp(vals) < 1e-12
     assert vals[0] == pytest.approx(TANH_HALF, abs=1e-12)
 
@@ -197,13 +199,13 @@ def test_current_convergence_halving():
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
     for _ in range(5):
         coupling = _random_coupling(rng, 1.0, zero_odd=True)
-        rho_s = random_density(2, rng)
+        rho_s = random_bloch(rng)
         w_ref, q_ref = current_evaluators(coupling, hs, anc)(rho_s)
         errs_w, errs_q = [], []
         for dt in (0.02, 0.01, 0.005):
             c = CouplingSpec(coupling.j, dt, coupling.scaling)
             _, ha, hsa, u = _collision_operators(c)
-            rho_a = anc.state()
+            rho_a = anc.state
             errs_w.append(abs(expectation(work_operator(u, hsa, rho_a), rho_s) / dt - w_ref))
             errs_q.append(abs(expectation(heat_operator(u, ha.matrix(), rho_a), rho_s) / dt
                               - q_ref))
@@ -220,7 +222,7 @@ def test_heat_sign_during_thermalization_transient():
     cfg = CollisionConfig(
         hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=1.0, omega_a=1.0),
         coupling=diagonal_coupling(1.0, 1.0, dt=0.05), n_collisions=600,
-        rho0=np.diag([0.45, 0.55]).astype(complex))  # hotter than gibbs(1)
+        rho0=bloch_state(0.0, 0.0, -0.1))  # hotter than gibbs(1)
     traj = run(cfg)
     assert traj.ledger.q[0] > 0
     assert abs(traj.ledger.q[-1]) < 1e-10
@@ -230,8 +232,7 @@ def test_heat_sign_during_thermalization_transient():
 def test_steady_sigma_rate_equals_beta_heat_current():
     # at the kernel steady state the entropy rate of the system vanishes,
     # so the continuum sigma rate reduces to beta * Q_dot
-    from collisim.lindblad import build_generator, steady_state_of, vectorize
-    from collisim.linalg import unvec, vec
+    from collisim.lindblad import build_generator, steady_state_of
     rng = np.random.default_rng(45)
     hs = QubitHamiltonian(1.0)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -241,10 +242,11 @@ def test_steady_sigma_rate_equals_beta_heat_current():
         if rep.degenerate:
             continue
         gen = build_generator(coupling, hs, anc)
-        w, v = np.linalg.eigh(rep.rho_star)
+        w, v = np.linalg.eigh(density_matrix(rep.r_star))
         log_rho = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
-        ds_dt = -np.trace(unvec(vectorize(gen) @ vec(rep.rho_star)) @ log_rho).real
-        q_dot = current_evaluators(coupling, hs, anc)(rep.rho_star)[1]
+        l_rho = density_matrix((gen.matrix() @ np.r_[1.0, rep.r_star])[1:]) - I2 / 2
+        ds_dt = -np.trace(l_rho @ log_rho).real
+        q_dot = current_evaluators(coupling, hs, anc)(rep.r_star)[1]
         sigma_rate = ds_dt + anc.beta * q_dot
         assert abs(sigma_rate - anc.beta * q_dot) < 1e-8
 
@@ -253,7 +255,7 @@ def test_sigma_zero_for_identity_collision():
     rng = np.random.default_rng(41)
     rho_s = random_density(2, rng)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
-    joint = kron(rho_s, anc.state())
+    joint = kron(rho_s, density_matrix(anc.state))
     sigma, checks = entropy_production_collision(rho_s, joint, anc)
     assert sigma == pytest.approx(0.0, abs=1e-12)
     assert checks["joint_relative_entropy"] == pytest.approx(0.0, abs=1e-12)
@@ -268,7 +270,7 @@ def test_sigma_three_forms_agree_and_nonnegative():
         beta = rng.uniform(-4, 4)
         anc = AncillaPrep(beta=beta, omega_a=1.0)
         rho_s = random_density(2, rng)
-        _, joint_after = collide_once(rho_s, anc.state(), u)
+        _, joint_after = collide_once(rho_s, density_matrix(anc.state), u)
         sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
         assert sigma >= -1e-11
         assert checks["joint_relative_entropy"] == pytest.approx(sigma, abs=1e-10)
@@ -280,7 +282,7 @@ def test_sigma_rate_jx_only_steady_state():
     coupling = diagonal_coupling(1.0, 0.0, dt=1e-4)
     hs, ha, hsa, u = _collision_operators(coupling)
     anc = AncillaPrep(beta=1.0, omega_a=1.0)
-    _, joint_after = collide_once(I2 / 2, anc.state(), u)
+    _, joint_after = collide_once(I2 / 2, density_matrix(anc.state), u)
     sigma, _ = entropy_production_collision(I2 / 2, joint_after, anc)
     assert sigma / coupling.dt == pytest.approx(TANH_HALF, abs=1e-3)
 
@@ -290,7 +292,7 @@ def test_sigma_infinite_beta_skips_identity_checks():
     hs, ha, hsa, u = _collision_operators(coupling)
     anc = AncillaPrep(beta=np.inf, omega_a=1.0)
     rho_s = np.diag([0.9, 0.1]).astype(complex)  # hotter than the bath
-    _, joint_after = collide_once(rho_s, anc.state(), u)
+    _, joint_after = collide_once(rho_s, density_matrix(anc.state), u)
     sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
     assert "skipped" in checks
     assert sigma == np.inf  # finite heat into a zero-temperature bath
@@ -319,7 +321,7 @@ def test_steady_currents_equal_work_and_heat():
         rep = steady_state_of(coupling, hs, anc)
         if rep.degenerate:
             continue
-        w_dot, q_dot = current_evaluators(coupling, hs, anc)(rep.rho_star)
+        w_dot, q_dot = current_evaluators(coupling, hs, anc)(rep.r_star)
         assert abs(w_dot - q_dot) < 1e-8
 
 
@@ -327,7 +329,7 @@ def test_ledger_first_law_and_sigma_sign():
     cfg = CollisionConfig(
         hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=1.0, omega_a=1.0),
         coupling=diagonal_coupling(1.0, 0.4, dt=0.05), n_collisions=200,
-        rho0=np.diag([0.85, 0.15]).astype(complex))
+        rho0=bloch_state(0.0, 0.0, 0.7))
     traj = run(cfg)
     assert np.max(np.abs(traj.ledger.first_law_residuals())) < 1e-11
     assert min(traj.ledger.sigma) >= -1e-11
@@ -346,7 +348,7 @@ def test_weak_coupling_rate_nonnegative_for_energy_preserving():
     cfg = CollisionConfig(
         hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=1.0, omega_a=1.0),
         coupling=diagonal_coupling(1.0, 1.0, dt=0.05), n_collisions=300,
-        rho0=np.diag([0.9, 0.1]).astype(complex))
+        rho0=bloch_state(0.0, 0.0, 0.8))
     traj = run(cfg)
     rates = weak_coupling_sigma_rate(traj.states, cfg.hs, beta=1.0, dt=traj.dt)
     assert np.min(rates) > -1e-9
@@ -358,7 +360,7 @@ def test_weak_coupling_rate_disagrees_off_the_thermal_track():
     cfg = CollisionConfig(
         hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=1.0, omega_a=1.0),
         coupling=diagonal_coupling(1.0, 0.0, dt=0.05), n_collisions=400,
-        rho0=np.diag([0.9, 0.1]).astype(complex))
+        rho0=bloch_state(0.0, 0.0, 0.8))
     traj = run(cfg)
     wc = weak_coupling_sigma_rate(traj.states, cfg.hs, beta=1.0, dt=traj.dt)
     ledger_rate = traj.ledger.rates("sigma")
