@@ -139,7 +139,7 @@ def _out_path(out_dir: str, name: str) -> str:
 def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
     """Write the trajectory table; returns the file path."""
     fmt_ = out_format or cfg.out_format
-    table = _fields(trajectory_rows(cfg.collision_config()), cfg.quantities)
+    table = _fields(trajectory_rows(cfg.collision), cfg.quantities)
     path = _out_path(out_dir, cfg.out_path)
     write_table(path, list(cfg.quantities), table, fmt_)
     return path
@@ -167,17 +167,16 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
     doc: dict = {"method": method}
     kernel_rep = iter_rep = None
     # one config, so both solves share one ancilla state
-    collision_cfg = cfg.collision_config()
+    collision = cfg.collision
     if method in ("kernel", "both"):
-        kernel_rep = steady_state_of(collision_cfg.coupling, collision_cfg.hs,
-                                     collision_cfg.ancilla)
+        kernel_rep = steady_state_of(collision.coupling, collision.hs, collision.ancilla)
         doc["kernel"] = report_to_dict(kernel_rep)
         if kernel_rep.degenerate:
             # non-unique family: the usable state depends on the initial
             # condition, so fall back to iterating from the configured rho0
             doc["note"] = "non-unique steady state; initial-state dependent"
     if method in ("iteration", "both") or "note" in doc:
-        iter_rep = steady_state_by_iteration(collision_cfg)
+        iter_rep = steady_state_by_iteration(collision)
         doc["iteration"] = report_to_dict(iter_rep)
     if kernel_rep is not None and iter_rep is not None:
         doc["trace_distance"] = trace_distance(kernel_rep.r_star, iter_rep.r_star)
@@ -229,9 +228,9 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
 
 
 def _sweep_point_safe(doc: dict):
-    """The parsed config of one sweep point, or its error as a string."""
+    """The collision config of one sweep point, or its error as a string."""
     try:
-        return parse_run_config(doc)
+        return parse_run_config(doc).collision
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -240,10 +239,11 @@ def _stack_key(cfg):
     """What the points of one stack share: all but J, beta and rho0."""
     if isinstance(cfg, str):
         return None
-    return (cfg.omega_s, cfg.omega_a, cfg.coupling.dt, cfg.coupling.scaling, cfg.n_collisions)
+    return (cfg.hs.omega, cfg.ancilla.omega_a, cfg.coupling.dt, cfg.coupling.scaling,
+            cfg.n_collisions)
 
 
-def _stack_rows(cfgs: list[RunConfig]) -> list:
+def _stack_rows(cfgs: list[CollisionConfig]) -> list:
     """The trajectory table of each point of a stack, or the error of a point.
 
     When the stack fails, its points run alone, so that only the failing
@@ -252,8 +252,8 @@ def _stack_rows(cfgs: list[RunConfig]) -> list:
     first = cfgs[0]
     try:
         table = trajectory_rows(CollisionConfig(
-            hs=first.hs(),
-            ancilla=AncillaPrep(np.array([c.beta for c in cfgs]), first.omega_a),
+            hs=first.hs,
+            ancilla=AncillaPrep(np.array([c.ancilla.beta for c in cfgs]), first.ancilla.omega_a),
             coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]),
                                   first.coupling.dt, first.coupling.scaling),
             n_collisions=first.n_collisions, rho0=np.array([c.rho0 for c in cfgs])))

@@ -9,6 +9,7 @@ and a single configuration is a stack of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,20 +17,16 @@ import numpy as np
 
 from . import observables
 from .lindblad import kernel_state
-from .linalg import check_density, clamp_to_density, trace_distance
-from .model import (PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    build_interaction, collision_unitary, density_matrix)
-from .thermo import (ThermoLedger, bloch_entropy, expectation, heat_operator,
-                     work_operator)
+from .linalg import check_density, clamp_to_density, dagger, trace_distance
+from .model import (SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    build_interaction, collision_unitary)
+from .thermo import (ThermoLedger, affine_functional, bloch_entropy, expectation,
+                     heat_operator, work_operator)
 
 
 # T has entries of order 1: below this, s(T - I) and 1 - |lambda| are round-off.
 FIXED_POINT_FLOOR = 16 * np.finfo(float).eps
 
-# Columns: the column-stacked I, sigma_x, sigma_y, sigma_z. Over sqrt(2) they
-# are an orthonormal basis, in which rho = (I + r . sigma)/2 reads (1, r)/sqrt(2);
-# unscaled, their entries are exact.
-PAULI_BASIS = PAULI4.swapaxes(-1, -2).reshape(4, 4).T
 I4 = np.eye(4)
 
 
@@ -60,13 +57,19 @@ class CollisionConfig:
     def __post_init__(self):
         if self.n_collisions < 1:
             raise ValueError("n_collisions must be >= 1")
+        if not self.convergence_tol > 0:
+            raise ValueError("convergence_tol must be positive")
         if self.rho0.shape[-1:] != (3,):
             raise ValueError("rho0 must be a Bloch vector")
         check_density(self.rho0, "rho0")
 
+    @functools.cached_property
+    def interaction(self) -> np.ndarray:
+        """H_SA, built once per config: the unitary and the work functional share it."""
+        return build_interaction(self.coupling)
+
     def unitary(self) -> np.ndarray:
-        hsa = build_interaction(self.coupling)
-        return collision_unitary(self.hs, self.ancilla.hamiltonian(), hsa,
+        return collision_unitary(self.hs, self.ancilla.hamiltonian(), self.interaction,
                                  self.coupling.dt)
 
 
@@ -115,7 +118,7 @@ def run(config: CollisionConfig) -> Trajectory:
     # E_S = Tr[H_S rho] = (omega/2) z: the functional (0, 0, 0, omega/2)
     energies = expectation(np.array([0.0, 0.0, 0.0, config.hs.omega / 2]), states)
     before = states[..., :-1, :]
-    k_w = work_operator(u, build_interaction(config.coupling), r_a)
+    k_w = work_operator(u, config.interaction, r_a)
     k_q = heat_operator(u, config.ancilla.hamiltonian().matrix(), r_a)
     ledger = ThermoLedger(dt=config.coupling.dt, beta=config.ancilla.beta)
     # the functionals carry the config's stack axes, not the time axis
@@ -128,18 +131,19 @@ def run(config: CollisionConfig) -> Trajectory:
 def collision_map_superoperator(u: np.ndarray, r_a: np.ndarray) -> np.ndarray:
     """One collision as the affine map r -> M r + c on Bloch vectors.
 
-    Returned as the real 4x4 T = [[1, 0], [c, M]] acting on (1, r): the
-    linear map on column-stacked states, written in the orthonormal
-    PAULI_BASIS / sqrt(2), with its first row (trace preservation) set
-    exactly. Built from the joint unitary u and the ancilla Bloch vector
-    r_a, or stacks of them; n collisions are the n-th matrix power. It is
-    the map that `run` applies.
+    Returned as the real 4x4 T = [[1, 0], [c, M]] acting on (1, r). Row l
+    of (c, M) is the affine functional of the Heisenberg-evolved system
+    Pauli, r'_l = Tr[U^dag (sigma_l (x) I) U (rho (x) rho_a)], the contraction
+    that also gives the ledger and the currents; the first row (trace
+    preservation) is set exactly. Built from the joint unitary u and the
+    ancilla Bloch vector r_a, or stacks of them; n collisions are the n-th
+    matrix power. It is the map that `run` applies.
     """
-    u = u.reshape(u.shape[:-2] + (2, 2, 2, 2))
-    # phi[i, j] = sum U[i,a,k,b] rho[k,l] rho_a[b,c] conj(U[j,a,l,c]), column-stacked
-    phi = np.einsum("...iakb,...bc,...jalc->...jilk", u, density_matrix(r_a), u.conj())
-    t = (PAULI_BASIS.conj().T @ phi.reshape(phi.shape[:-4] + (4, 4)) @ PAULI_BASIS).real / 2
+    u = u[..., None, :, :]     # against the stack axis of the three Paulis
+    rows = affine_functional(dagger(u) @ SIGMA_S @ u, r_a[..., None, :])
+    t = np.empty(rows.shape[:-2] + (4, 4))
     t[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
+    t[..., 1:, :] = rows
     return t
 
 
@@ -155,8 +159,7 @@ def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
     return clamp_to_density(out[..., 1:, 0])
 
 
-def steady_state_by_iteration(config: CollisionConfig,
-                              tol: float | None = None) -> "observables.SteadyStateReport":
+def steady_state_by_iteration(config: CollisionConfig) -> "observables.SteadyStateReport":
     """The limit of iterating the map from rho0, solved directly: r* = (I - M)^-1 c.
 
     A degenerate eigenvalue-1 space gives the spectral projection of rho0
@@ -165,11 +168,9 @@ def steady_state_by_iteration(config: CollisionConfig,
     distance to the fixed point by trace_distance(M r* + c, r*) / (1 - |l2|),
     l2 the largest decaying eigenvalue of M outside that space. As for a
     converged iteration, one collision must move the state by less than
-    tol * dt, or NoSteadyStateError is raised.
+    config.convergence_tol * dt, or NoSteadyStateError is raised.
     """
-    tol = config.convergence_tol if tol is None else tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    tol = config.convergence_tol
     dt = config.coupling.dt
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
     m, c = t[1:, 1:], t[1:, 0]
@@ -183,7 +184,7 @@ def steady_state_by_iteration(config: CollisionConfig,
     for mu in lam[rest[rotating]]:
         # M is a contraction, so the eigenvectors of an eigenvalue of modulus 1
         # are orthogonal to all others and its spectral projection is orthogonal;
-        # the state reads (1, r)/sqrt(2) in the orthonormal basis
+        # the motion is the Hilbert-Schmidt distance ||d rho||_2 = |d r|/sqrt(2)
         q, _ = np.linalg.qr(vecs[:, abs(lam - mu) <= FIXED_POINT_FLOOR])
         motion = abs(mu - 1) * np.linalg.norm(q.conj().T @ (config.rho0 - r)) / math.sqrt(2)
         if motion >= tol * dt:

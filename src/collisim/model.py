@@ -24,7 +24,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI4 = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))   # sigma_mu, mu = 0 the identity
 PAULIS = PAULI4[1:]
 PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])  # [l, m] = sigma_l (x) sigma_m
-SZ_S, SZ_A = kron(SIGMA_Z, I2), kron(I2, SIGMA_Z)   # sigma_z of the system, of the ancilla
+SIGMA_S = kron(PAULIS, I2)                         # [l] = sigma_l (x) I, the system Paulis
+SZ_S, SZ_A = SIGMA_S[2], kron(I2, SIGMA_Z)         # sigma_z of the system, of the ancilla
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,18 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
 
     Returns f(r) -> (w_dot, q_dot) for one Bloch vector or a stack of them
     (g0-level J units); the kernels are built once, as affine functionals
-    with the stack axes of the config, against which r broadcasts.
+    with the stack axes of the config, against which r broadcasts. A
+    coupling whose square overflows raises ValueError, as the rate matrix
+    of the same coupling does.
     """
     v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
     ha = kron(I2, ancilla.hamiltonian().matrix())
     h0 = kron(hs.matrix(), I2) + ha
-    k_w = affine_functional(_current_kernel(v, h0), ancilla.state)
-    k_q = affine_functional(_current_kernel(v, ha), ancilla.state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_w = affine_functional(_current_kernel(v, h0), ancilla.state)
+        k_q = affine_functional(_current_kernel(v, ha), ancilla.state)
+    if not (np.isfinite(k_w).all() and np.isfinite(k_q).all()):
+        raise ValueError("current kernels are not finite (coupling overflow)")
 
     def currents(r: np.ndarray):
         return expectation(k_w, r), expectation(k_q, r)

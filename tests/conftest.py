@@ -9,10 +9,15 @@ import scipy.linalg
 
 from collisim.cli import cmd_ergotropy_surface, cmd_fig3, cmd_fig5
 from collisim.linalg import clamp_to_density, dagger, kron
-from collisim.model import SscAngles, density_matrix, gibbs_state
+from collisim.model import PAULI4, SscAngles, density_matrix, gibbs_state
 from collisim.thermo import entropy_production
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Columns: the column-stacked I, sigma_x, sigma_y, sigma_z. Over sqrt(2) they
+# are an orthonormal basis, in which rho = (I + r . sigma)/2 reads (1, r)/sqrt(2);
+# unscaled, their entries are exact. gen.matrix() is L written in it.
+PAULI_BASIS = PAULI4.swapaxes(-1, -2).reshape(4, 4).T
 
 
 def _load(name: str, path: str):

@@ -69,8 +69,8 @@ def test_criterion_2_effective_temperature_endpoints():
     for dt in (1e-3, 1e-4, 1e-5):
         cfg = CollisionConfig(hs=HS, ancilla=ANC,
                               coupling=diagonal_coupling(1.0, 0.5, dt=dt),
-                              n_collisions=1, rho0=rho)
-        rep_it = steady_state_by_iteration(cfg, tol=1e-7)
+                              n_collisions=1, rho0=rho, convergence_tol=1e-7)
+        rep_it = steady_state_by_iteration(cfg)
         rho = rep_it.r_star
     elapsed = time.perf_counter() - t0
 
@@ -213,8 +213,8 @@ def _iterate_dt_ladder(coupling, rho0, dts=(1e-3, 1e-4, 1e-5), tol=1e-7):
     for dt in dts:
         cfg = CollisionConfig(hs=HS, ancilla=ANC,
                               coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
-                              n_collisions=1, rho0=rho)
-        rep = steady_state_by_iteration(cfg, tol=tol)
+                              n_collisions=1, rho0=rho, convergence_tol=tol)
+        rep = steady_state_by_iteration(cfg)
         rho = rep.r_star
     return rep
 

@@ -42,10 +42,10 @@ def test_config_roundtrip():
     doc = base_doc()
     cfg = parse_run_config(doc)
     again = parse_run_config(json.loads(cfg.serialize()))
-    assert again.omega_s == cfg.omega_s
-    assert again.beta == cfg.beta
-    assert np.array_equal(again.coupling.j, cfg.coupling.j)
-    assert np.array_equal(again.rho0, cfg.rho0)
+    assert again.collision.hs == cfg.collision.hs
+    assert again.collision.ancilla.beta == cfg.collision.ancilla.beta
+    assert np.array_equal(again.collision.coupling.j, cfg.collision.coupling.j)
+    assert np.array_equal(again.collision.rho0, cfg.collision.rho0)
     assert again.quantities == cfg.quantities
     assert again.serialize() == cfg.serialize()
 
@@ -73,7 +73,7 @@ def test_bloch_vector_norm_checked():
     doc["run"]["rho0"] = {"bloch": [0.0, 0.0, 1.0]}
     cfg = parse_run_config(doc)
     # run.rho0 is carried as its Bloch vector: all weight on |e>
-    assert np.array_equal(cfg.rho0, [0.0, 0.0, 1.0])
+    assert np.array_equal(cfg.collision.rho0, [0.0, 0.0, 1.0])
 
 
 def test_ssc_coupling_in_config():
@@ -81,8 +81,8 @@ def test_ssc_coupling_in_config():
     doc["coupling"] = {"ssc": {"alpha": 0.0, "gamma": np.pi / 4,
                                "magnitude": np.sqrt(2)}, "dt": 0.05}
     cfg = parse_run_config(doc)
-    assert cfg.coupling.j[0, 0] == pytest.approx(1.0)
-    assert cfg.coupling.j[1, 1] == pytest.approx(1.0)
+    assert cfg.collision.coupling.j[0, 0] == pytest.approx(1.0)
+    assert cfg.collision.coupling.j[1, 1] == pytest.approx(1.0)
 
 
 def test_coupling_requires_exactly_one_spec():
@@ -96,7 +96,7 @@ def test_coupling_requires_exactly_one_spec():
 def test_infinite_beta_accepted_as_string():
     doc = base_doc()
     doc["model"]["beta"] = "inf"
-    assert parse_run_config(doc).beta == np.inf
+    assert parse_run_config(doc).collision.ancilla.beta == np.inf
 
 
 def test_unknown_quantity_rejected():
@@ -134,12 +134,19 @@ def test_sweep_parallel_and_cap_keys_validated_with_exit_2(tmp_path, capsys, key
 def test_sweep_points_cartesian_order():
     doc = {"base": base_doc(),
            "axes": [{"path": "model.beta", "values": [1.0, 2.0]},
-                    {"path": "coupling.j.yy", "values": [0.0, 0.5, 1.0]}]}
+                    {"path": "coupling.j.yy", "values": [0.0, 0.5, 1.0]},
+                    {"path": "run.n_collisions", "values": [3, 4]}]}
     sweep = parse_sweep_config(doc)
     points = sweep.points()
-    assert len(points) == 6
-    assert [p["model"]["beta"] for p in points] == [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-    assert [p["coupling"]["j"]["yy"] for p in points] == [0.0, 0.5, 1.0] * 2
+    assert len(points) == 12
+    # the first axis slowest, the order of the axis columns and failure indices
+    assert [p["model"]["beta"] for p in points] == [1.0] * 6 + [2.0] * 6
+    assert [p["coupling"]["j"]["yy"] for p in points] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0] * 2
+    assert [p["run"]["n_collisions"] for p in points] == [3, 4] * 6
+    # every point is its own copy of the base, which stays as it was
+    points[0]["coupling"]["j"]["xx"] = 7.0
+    assert points[1]["coupling"]["j"]["xx"] == doc["base"]["coupling"]["j"]["xx"] == 1.0
+    assert all(p["output"] == doc["base"]["output"] for p in points)
 
 
 # ---------------------------------------------------------------- run + CLI
@@ -317,16 +324,19 @@ def test_exit_code_3_on_numerical_failure(tmp_path):
 @pytest.mark.parametrize("command", ["run", "steady"])
 def test_coupling_overflow_is_a_numerical_failure(tmp_path, capsys, command):
     # J_xx = 1e308 at dt = 0.05 overflows the sqrt_dt-scaled interaction (and
-    # the rate matrix): one line on stderr and exit 3, no traceback, no warning
-    doc = base_doc()
-    doc["coupling"]["j"] = {"xx": 1e308}
-    cfg_path = write_config(tmp_path, doc)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 3
-    assert caught == []
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    # the rate matrix); at 1e200 the interaction is finite but J^2 overflows
+    # the rate matrix and the current kernels: one line on stderr and exit 3,
+    # no traceback, no warning
+    for j_xx in (1e308, 1e200):
+        doc = base_doc()
+        doc["coupling"]["j"] = {"xx": j_xx}
+        cfg_path = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 3, j_xx
+        assert caught == [], j_xx
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, j_xx
 
 
 @pytest.mark.parametrize("beta", ["inf", "-inf"])
@@ -491,6 +501,22 @@ def test_sweep_failed_point_recorded_exit_3(tmp_path):
     assert failures[0]["point"] == 1
     lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
     assert len(lines) == 1 + 6  # good point only: header + 5+1 states
+
+
+def test_sweep_point_with_overflowing_currents_fails_alone(tmp_path):
+    doc = sweep_doc([{"path": "coupling.j.xx", "values": [1.0, 1e200, 0.5]}], n=5)
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 3
+    assert caught == []
+    failures = json.loads((tmp_path / "out_sweep_failures.json").read_text())
+    assert [f["point"] for f in failures] == [1]
+    assert failures[0]["error"] == "ValueError: current kernels are not finite (coupling overflow)"
+    lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 6
+    assert [line.split(",")[0] for line in lines[1:]] == (
+        ["1.0000000000000000e+00"] * 6 + ["5.0000000000000000e-01"] * 6)
 
 
 def test_sweep_point_with_a_degenerate_zero_temperature_ancilla_fails_alone(tmp_path):

@@ -264,7 +264,7 @@ def test_weak_coupling_steady_state_is_a_fixed_point(tmp_path, coupling):
                  "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "weak_steady.json").read_text())["iteration"]
     rho = np.array([[complex(*report["rho_star"][r][c]) for c in range(2)] for r in range(2)])
-    cfg = parse_run_config(doc).collision_config()
+    cfg = parse_run_config(doc).collision
     t = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state)
     r = bloch_vector(rho)
     assert trace_distance(apply_map(t, r), r) <= 1e-14
@@ -274,6 +274,8 @@ def test_weak_coupling_steady_state_is_a_fixed_point(tmp_path, coupling):
 def test_config_validation():
     with pytest.raises(ValueError, match="n_collisions"):
         _config(diagonal_coupling(1.0, 1.0, dt=0.05), n=0)
+    with pytest.raises(ValueError, match="convergence_tol"):
+        _config(diagonal_coupling(1.0, 1.0, dt=0.05), convergence_tol=0.0)
     with pytest.raises(ValueError, match="eigenvalue"):
         _config(diagonal_coupling(1.0, 1.0, dt=0.05), rho0=bloch_state(0.0, 0.0, 1.0) * 1.6)
     with pytest.raises(ValueError, match="Bloch vector"):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from collisim.engine import PAULI_BASIS
 from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density,
                              exp_minus_i, kron, trace_distance)
 from collisim.model import I2, PAULI4, SIGMA_X, SIGMA_Z, density_matrix
 
-from conftest import (bloch_vector, eigen_trace_distance, matrices_close, partial_trace,
-                      random_bloch, random_density, random_hermitian)
+from conftest import (PAULI_BASIS, bloch_vector, eigen_trace_distance, matrices_close,
+                      partial_trace, random_bloch, random_density, random_hermitian)
 
 I4 = np.eye(4, dtype=complex)
 
@@ -158,7 +157,7 @@ def test_trace_distance_basics():
 
 
 def test_vec_unvec_roundtrip_and_convention():
-    # the collision map is built on column-stacked states and written in the
+    # the generator's matrix is L on column-stacked states written in the
     # orthonormal PAULI_BASIS / sqrt(2), in which rho = (I + r . sigma)/2
     # reads (1, r)/sqrt(2)
     rng = np.random.default_rng(19)

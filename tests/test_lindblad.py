@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from collisim.engine import PAULI_BASIS, CollisionConfig, run, steady_state_by_iteration
+from collisim.engine import CollisionConfig, run, steady_state_by_iteration
 from collisim.lindblad import (GKSLGenerator, build_generator, steady_state_kernel,
                                steady_state_of)
 from collisim.linalg import dagger, kron, trace_distance
@@ -10,8 +10,8 @@ from collisim.model import (I2, PAULIS, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, density_matrix, diagonal_coupling,
                             gibbs_state, pure_state, ssc_coupling)
 
-from conftest import (bloch_vector, evolve_continuous, matrices_close, partial_trace,
-                      random_bloch, random_density, reference)
+from conftest import (PAULI_BASIS, bloch_vector, evolve_continuous, matrices_close,
+                      partial_trace, random_bloch, random_density, reference)
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -256,8 +256,8 @@ def iterate_with_dt_ladder(coupling, hs, anc, rho0, dts=(1e-3, 1e-4, 1e-5),
     for dt in dts:
         cfg = CollisionConfig(hs=hs, ancilla=anc,
                               coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
-                              n_collisions=1, rho0=rho)
-        rep = steady_state_by_iteration(cfg, tol=tol)
+                              n_collisions=1, rho0=rho, convergence_tol=tol)
+        rep = steady_state_by_iteration(cfg)
         rho = rep.r_star
     return rep
 

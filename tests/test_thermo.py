@@ -304,7 +304,7 @@ def test_ledger_sigma_at_infinite_beta_is_never_nan_or_negative(beta, omega_s):
     doc = {"model": {"omega_s": omega_s, "omega_a": 1.0, "beta": beta},
            "coupling": {"j": {"xx": 1.0, "yy": 1.0}, "dt": 0.05},
            "run": {"n_collisions": 400, "rho0": "excited"}}
-    sigma = np.array(run(parse_run_config(doc).collision_config()).ledger.sigma)
+    sigma = np.array(run(parse_run_config(doc).collision).ledger.sigma)
     assert not np.any(np.isnan(sigma))
     assert np.min(sigma) >= -1e-12
 
