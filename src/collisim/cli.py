@@ -239,8 +239,7 @@ def _stack_key(cfg):
     """What the points of one stack share: all but J, beta and rho0."""
     if isinstance(cfg, str):
         return None
-    return (cfg.hs.omega, cfg.ancilla.omega_a, cfg.coupling.dt, cfg.coupling.scaling,
-            cfg.n_collisions)
+    return cfg.hs.omega, cfg.ancilla.omega_a, cfg.coupling.dt, cfg.n_collisions
 
 
 def _stack_rows(cfgs: list[CollisionConfig]) -> list:
@@ -254,8 +253,7 @@ def _stack_rows(cfgs: list[CollisionConfig]) -> list:
         table = trajectory_rows(CollisionConfig(
             hs=first.hs,
             ancilla=AncillaPrep(np.array([c.ancilla.beta for c in cfgs]), first.ancilla.omega_a),
-            coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]),
-                                  first.coupling.dt, first.coupling.scaling),
+            coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]), first.coupling.dt),
             n_collisions=first.n_collisions, rho0=np.array([c.rho0 for c in cfgs])))
     except (ValueError, np.linalg.LinAlgError) as exc:
         if len(cfgs) == 1:

@@ -17,7 +17,10 @@ Grammar (JSON object, all sections required unless noted):
 
 "coupling.j" keys are two Pauli labels from {x,y,z}: "xx", "zy", ...;
 missing entries are zero. "coupling.ssc" takes {"alpha", "gamma",
-"magnitude"} instead of "j". "beta" accepts numbers or "inf"/"-inf".
+"magnitude"} instead of "j". The interaction is H_SA = sum J_lm
+sigma_l sigma_m / sqrt(dt); "scaling" is optional and accepts only
+"sqrt_dt" ("none" is rejected: its H_SA is that of j * sqrt(dt)).
+"beta" accepts numbers or "inf"/"-inf".
 Unknown keys anywhere are rejected with the offending key path.
 """
 
@@ -125,9 +128,9 @@ def _parse_coupling(obj: Any, path: str) -> CouplingSpec:
     dt = _number(obj["dt"], f"{path}.dt")
     if dt <= 0:
         raise ConfigError(f"{path}.dt: must be positive")
-    scaling = obj.get("scaling", "sqrt_dt")
-    if scaling not in ("sqrt_dt", "none"):
-        raise ConfigError(f"{path}.scaling: must be 'sqrt_dt' or 'none'")
+    if obj.get("scaling", "sqrt_dt") != "sqrt_dt":
+        raise ConfigError(f"{path}.scaling: must be 'sqrt_dt', the only coupling scale;"
+                          " the H_SA of 'none' is that of j * sqrt(dt)")
     if ("j" in obj) == ("ssc" in obj):
         raise ConfigError(f"{path}: give exactly one of 'j' or 'ssc'")
     if "j" in obj:
@@ -140,7 +143,7 @@ def _parse_coupling(obj: Any, path: str) -> CouplingSpec:
                 raise ConfigError(f"unknown key {path}.j.{key}")
             l, m = "xyz".index(key[0]), "xyz".index(key[1])
             j[l, m] = _number(value, f"{path}.j.{key}")
-        return CouplingSpec(j, dt, scaling)
+        return CouplingSpec(j, dt)
     sd = obj["ssc"]
     if not isinstance(sd, dict):
         raise ConfigError(f"{path}.ssc: expected an object")
@@ -151,7 +154,7 @@ def _parse_coupling(obj: Any, path: str) -> CouplingSpec:
                            _number(sd.get("magnitude", 1.0), f"{path}.ssc.magnitude"))
     except ValueError as exc:
         raise ConfigError(f"{path}.ssc: {exc}") from exc
-    return ssc_to_coupling(angles, dt, scaling)
+    return ssc_to_coupling(angles, dt)
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -182,7 +185,8 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(n_collisions, int) or isinstance(n_collisions, bool) or n_collisions < 1:
         raise ConfigError("run.n_collisions: expected a positive integer")
     rho0 = _parse_rho0(rn["rho0"], "run.rho0")
-    tol = _number(rn.get("convergence_tol", 1e-10), "run.convergence_tol")
+    tol = _number(rn.get("convergence_tol", CollisionConfig.convergence_tol),
+                  "run.convergence_tol")
     if tol <= 0:
         raise ConfigError("run.convergence_tol: must be positive")
 

@@ -9,7 +9,6 @@ and a single configuration is a stack of one.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +18,9 @@ from . import observables
 from .lindblad import kernel_state
 from .linalg import check_density, clamp_to_density, dagger, trace_distance
 from .model import (SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    build_interaction, collision_unitary)
-from .thermo import (ThermoLedger, affine_functional, bloch_entropy, expectation,
-                     heat_operator, work_operator)
+                    build_interaction, collision_unitary, free_hamiltonians)
+from .thermo import (ThermoLedger, affine_functional, bloch_entropy, change_functional,
+                     expectation)
 
 
 # T has entries of order 1: below this, s(T - I) and 1 - |lambda| are round-off.
@@ -63,14 +62,9 @@ class CollisionConfig:
             raise ValueError("rho0 must be a Bloch vector")
         check_density(self.rho0, "rho0")
 
-    @functools.cached_property
-    def interaction(self) -> np.ndarray:
-        """H_SA, built once per config: the unitary and the work functional share it."""
-        return build_interaction(self.coupling)
-
     def unitary(self) -> np.ndarray:
-        return collision_unitary(self.hs, self.ancilla.hamiltonian(), self.interaction,
-                                 self.coupling.dt)
+        return collision_unitary(self.hs, self.ancilla.hamiltonian(),
+                                 build_interaction(self.coupling), self.coupling.dt)
 
 
 @dataclass
@@ -118,8 +112,9 @@ def run(config: CollisionConfig) -> Trajectory:
     # E_S = Tr[H_S rho] = (omega/2) z: the functional (0, 0, 0, omega/2)
     energies = expectation(np.array([0.0, 0.0, 0.0, config.hs.omega / 2]), states)
     before = states[..., :-1, :]
-    k_w = work_operator(u, config.interaction, r_a)
-    k_q = heat_operator(u, config.ancilla.hamiltonian().matrix(), r_a)
+    # W and Q are the changes of the free Hamiltonians H_0 and I (x) H_A
+    k_w, k_q = (change_functional(u, x, r_a)
+                for x in free_hamiltonians(config.hs, config.ancilla.hamiltonian()))
     ledger = ThermoLedger(dt=config.coupling.dt, beta=config.ancilla.beta)
     # the functionals carry the config's stack axes, not the time axis
     ledger.record(w=expectation(k_w[..., None, :], before),

@@ -73,15 +73,13 @@ class AncillaPrep:
 class CouplingSpec:
     """Two-body coupling sum_lm J_lm sigma_l (x) sigma_m with collision time dt.
 
-    The J_lm are the g0-level constants; with scaling='sqrt_dt' the built
-    interaction carries the extra dt**-0.5 so the induced master equation is
-    dt-independent. scaling='none' uses the J_lm verbatim. A (..., 3, 3)
-    stack of J describes a stack of couplings that share dt.
+    The J_lm are the g0-level constants; the built interaction carries the
+    extra dt**-0.5, so the induced master equation is dt-independent. A
+    (..., 3, 3) stack of J describes a stack of couplings that share dt.
     """
 
     j: np.ndarray            # 3x3 real, (x,y,z) x (x,y,z)
     dt: float
-    scaling: str = "sqrt_dt"
 
     def __post_init__(self):
         jm = np.array(self.j, dtype=float)
@@ -92,28 +90,21 @@ class CouplingSpec:
         object.__setattr__(self, "j", jm)
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise ValueError("dt must be positive and finite")
-        if self.scaling not in ("sqrt_dt", "none"):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
         self.j.setflags(write=False)
 
-    @property
-    def scale(self) -> float:
-        return self.dt ** -0.5 if self.scaling == "sqrt_dt" else 1.0
 
-
-def diagonal_coupling(j_x: float, j_y: float, dt: float, scaling: str = "sqrt_dt") -> CouplingSpec:
+def diagonal_coupling(j_x: float, j_y: float, dt: float) -> CouplingSpec:
     """J_x sigma_x sigma_x + J_y sigma_y sigma_y family (arrays give a stack)."""
     j = np.zeros(np.broadcast_shapes(np.shape(j_x), np.shape(j_y)) + (3, 3))
     j[..., 0, 0], j[..., 1, 1] = j_x, j_y
-    return CouplingSpec(j, dt, scaling)
+    return CouplingSpec(j, dt)
 
 
-def ssc_coupling(j_x: float, j_y: float, j_zy: float, dt: float,
-                 scaling: str = "sqrt_dt") -> CouplingSpec:
+def ssc_coupling(j_x: float, j_y: float, j_zy: float, dt: float) -> CouplingSpec:
     """Coherence-generating family: diagonal XX+YY plus a sigma_z sigma_y term."""
     j = np.zeros(np.broadcast_shapes(np.shape(j_x), np.shape(j_y), np.shape(j_zy)) + (3, 3))
     j[..., 0, 0], j[..., 1, 1], j[..., 2, 1] = j_x, j_y, j_zy
-    return CouplingSpec(j, dt, scaling)
+    return CouplingSpec(j, dt)
 
 
 @dataclass(frozen=True)
@@ -143,10 +134,10 @@ class SscAngles:
                 m * np.sin(self.alpha))
 
 
-def ssc_to_coupling(angles: SscAngles, dt: float, scaling: str = "sqrt_dt") -> CouplingSpec:
+def ssc_to_coupling(angles: SscAngles, dt: float) -> CouplingSpec:
     """CouplingSpec with exactly the three SSC entries set."""
     j_x, j_y, j_zy = angles.j_values()
-    return ssc_coupling(j_x, j_y, j_zy, dt, scaling)
+    return ssc_coupling(j_x, j_y, j_zy, dt)
 
 
 def gibbs_state(h: QubitHamiltonian, beta: float) -> np.ndarray:
@@ -164,14 +155,28 @@ def gibbs_state(h: QubitHamiltonian, beta: float) -> np.ndarray:
     return r
 
 
-def build_interaction(spec: CouplingSpec) -> np.ndarray:
-    """4x4 interaction Hamiltonian s * sum_lm J_lm sigma_l (x) sigma_m (a stack for stacked J).
+def coupling_operator(j: np.ndarray) -> np.ndarray:
+    """V = sum_lm J_lm sigma_l (x) sigma_m, 4x4 (a stack for stacked J).
 
     Hermitian exactly: entry (j, i) sums the conjugates of the terms of (i, j).
+    """
+    return np.einsum("...lm,lmij->...ij", j, PAULI_PAIRS)
+
+
+def build_interaction(spec: CouplingSpec) -> np.ndarray:
+    """The interaction Hamiltonian H_SA = V / sqrt(dt) (a stack for stacked J).
+
     An entry beyond the float range is inf; collision_unitary rejects it.
     """
     with np.errstate(over="ignore"):
-        return np.einsum("...lm,lmij->...ij", spec.j, PAULI_PAIRS) * spec.scale
+        return coupling_operator(spec.j) * spec.dt ** -0.5
+
+
+def free_hamiltonians(hs: QubitHamiltonian, ha: QubitHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """H_0 = H_S (x) I + I (x) H_A and I (x) H_A, whose changes in one
+    collision are the switching work and the heat (U conserves H_0 + H_SA)."""
+    h_a = ha.omega / 2 * SZ_A
+    return hs.omega / 2 * SZ_S + h_a, h_a
 
 
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
@@ -179,7 +184,7 @@ def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
     """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision (or a stack)."""
     if hsa.shape[-2:] != (4, 4):
         raise ValueError("interaction must act on the 4-dimensional joint space")
-    h = hs.omega / 2 * SZ_S + ha.omega / 2 * SZ_A + hsa
+    h = free_hamiltonians(hs, ha)[0] + hsa
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("collision Hamiltonian is not finite (coupling overflow)")
     return exp_minus_i(h, dt)

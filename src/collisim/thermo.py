@@ -1,9 +1,10 @@
 """Thermodynamic ledger of the collision dynamics.
 
 Sign conventions (fixed once, used everywhere):
-  * W(dt) = Tr[(H_SA - U^dag H_SA U) rho_S (x) rho_A] is the energy injected
-    by the agent that switches the interaction on and off; positive when the
-    switching costs work.
+  * W(dt) = Tr[(U^dag H_0 U - H_0) rho_S (x) rho_A], H_0 = H_S + H_A, is the
+    energy injected by the agent that switches the interaction on and off;
+    positive when the switching costs work. U conserves H_0 + H_SA, so it
+    is also the decrease of the interaction energy, H_SA - U^dag H_SA U.
   * Q(dt) = Tr[(U^dag H_A U - H_A) rho_S (x) rho_A] is the energy gained by
     the ancilla; positive when heat is dumped into the environment.
   * First law: dE_S = W - Q, exact for every unitary collision.
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import dagger, kron, per_state
-from .model import (I2, PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    build_interaction, density_matrix)
+from .model import (PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    coupling_operator, density_matrix, free_hamiltonians)
 
 # At beta = +-inf a heat below this is round-off and counts as zero.
 INF_BETA_HEAT_TOL = 1e-14
@@ -69,15 +70,12 @@ def expectation(k: np.ndarray, r: np.ndarray):
     return per_state(k[..., 0] + np.einsum("...i,...i->...", k[..., 1:], r))
 
 
-def work_operator(u: np.ndarray, h_sa: np.ndarray, r_a: np.ndarray) -> np.ndarray:
-    """Functional of the switching work: decrease of the interaction energy."""
-    return affine_functional(h_sa - dagger(u) @ h_sa @ u, r_a)
+def change_functional(u: np.ndarray, x: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """Functional of the change of the joint observable x in one collision, U^dag X U - X.
 
-
-def heat_operator(u: np.ndarray, h_a: np.ndarray, r_a: np.ndarray) -> np.ndarray:
-    """Functional of the heat into the ancilla (h_a is 2x2)."""
-    ha_full = kron(I2, h_a)
-    return affine_functional(dagger(u) @ ha_full @ u - ha_full, r_a)
+    Of H_0 it is the switching work, of I (x) H_A the heat (free_hamiltonians).
+    """
+    return affine_functional(dagger(u) @ x @ u - x, r_a)
 
 
 def _current_kernel(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -96,10 +94,9 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
     coupling whose square overflows raises ValueError, as the rate matrix
     of the same coupling does.
     """
-    v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
-    ha = kron(I2, ancilla.hamiltonian().matrix())
-    h0 = kron(hs.matrix(), I2) + ha
+    h0, ha = free_hamiltonians(hs, ancilla.hamiltonian())
     with np.errstate(over="ignore", invalid="ignore"):
+        v = coupling_operator(coupling.j)
         k_w = affine_functional(_current_kernel(v, h0), ancilla.state)
         k_q = affine_functional(_current_kernel(v, ha), ancilla.state)
     if not (np.isfinite(k_w).all() and np.isfinite(k_q).all()):

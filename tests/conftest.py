@@ -9,8 +9,8 @@ import scipy.linalg
 
 from collisim.cli import cmd_ergotropy_surface, cmd_fig3, cmd_fig5
 from collisim.linalg import clamp_to_density, dagger, kron
-from collisim.model import PAULI4, SscAngles, density_matrix, gibbs_state
-from collisim.thermo import entropy_production
+from collisim.model import PAULI4, SscAngles, density_matrix, free_hamiltonians, gibbs_state
+from collisim.thermo import affine_functional, change_functional, entropy_production, expectation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,6 +60,12 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
     return bloch_vector(random_density(2, rng))
 
 
+def work_heat(u: np.ndarray, hs, ha, r_a: np.ndarray, r: np.ndarray) -> tuple:
+    """The library's switching work and heat of one collision from the state r:
+    the changes of H_0 and of I (x) H_A."""
+    return tuple(expectation(change_functional(u, x, r_a), r) for x in free_hamiltonians(hs, ha))
+
+
 # ----------------------------------------------------------------------------
 # References the tests compare the library against. The CLI needs none of
 # them: each recomputes on density matrices, the joint state, eigenvalues or
@@ -100,6 +106,14 @@ def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
         raise ValueError("invalid propagator: u is not unitary within 1e-10")
     joint_after = u @ kron(rho_s, rho_a) @ dagger(u)
     return hermitize(partial_trace(joint_after, (2, 2), "S")), joint_after
+
+
+def interaction_work(u: np.ndarray, h_sa: np.ndarray, r_a: np.ndarray) -> np.ndarray:
+    """Functional of the switching work in its definition form, the decrease
+    of the interaction energy H_SA - U^dag H_SA U. The library takes the change
+    of H_0 instead, equal because U conserves H_0 + H_SA; this form loses the
+    work to round-off once H_SA dwarfs H_0."""
+    return affine_functional(h_sa - dagger(u) @ h_sa @ u, r_a)
 
 
 def apply_map(t: np.ndarray, r: np.ndarray) -> np.ndarray:

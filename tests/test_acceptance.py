@@ -19,9 +19,10 @@ from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                             diagonal_coupling, gibbs_state, pure_state,
                             ssc_coupling)
 from collisim.observables import ergotropy
-from collisim.thermo import current_evaluators, expectation, heat_operator, work_operator
+from collisim.thermo import current_evaluators, expectation
 
-from conftest import bloch_vector, collide_once, entropy_production_collision, random_density
+from conftest import (bloch_vector, collide_once, entropy_production_collision, interaction_work,
+                      random_density, work_heat)
 
 HS = QubitHamiltonian(1.0)
 ANC = AncillaPrep(beta=1.0, omega_a=1.0)
@@ -111,8 +112,10 @@ def test_criterion_4_effective_temperature_bound():
 
 
 def test_criterion_5_first_law_identity():
+    # the library's W (change of H_0) also against its definition form, the
+    # decrease of H_SA, on the same samples
     rng = np.random.default_rng(12345)
-    worst = 0.0
+    worst = worst_def = 0.0
     for _ in range(10_000):
         j = rng.uniform(-1.5, 1.5, (3, 3))
         dt = 10 ** rng.uniform(-4, -0.3)
@@ -125,13 +128,15 @@ def test_criterion_5_first_law_identity():
         u = collision_unitary(hs, ha, hsa, dt)
         rho_s = random_density(2, rng)
         r_a = gibbs_state(ha, beta)
-        w = expectation(work_operator(u, hsa, r_a), bloch_vector(rho_s))
-        q = expectation(heat_operator(u, ha.matrix(), r_a), bloch_vector(rho_s))
+        w, q = work_heat(u, hs, ha, r_a, bloch_vector(rho_s))
         rho_next, _ = collide_once(rho_s, density_matrix(r_a), u)
         de_s = float(np.trace(hs.matrix() @ (rho_next - rho_s)).real)
         worst = max(worst, abs(de_s - w + q))
-    ok = worst <= 1e-11
-    report(5, ok, f"max |dE_S - W + Q| over 10^4 samples = {worst:.2e} (<=1e-11)")
+        worst_def = max(worst_def, abs(w - expectation(interaction_work(u, hsa, r_a),
+                                                       bloch_vector(rho_s))))
+    ok = worst <= 1e-11 and worst_def <= 1e-12
+    report(5, ok, f"max |dE_S - W + Q| over 10^4 samples = {worst:.2e} (<=1e-11), "
+                  f"max |W - (H_SA - U^dag H_SA U)| = {worst_def:.2e} (<=1e-12)")
 
 
 def test_criterion_6_entropy_production_forms():
@@ -171,13 +176,11 @@ def test_criterion_7_current_convergence():
         w_ref, q_ref = current_evaluators(coupling, HS, ANC)(rho_s)
         errs_w, errs_q = [], []
         for dt in (0.02, 0.01, 0.005):
-            c = CouplingSpec(coupling.j, dt, coupling.scaling)
-            hsa = build_interaction(c)
+            hsa = build_interaction(CouplingSpec(coupling.j, dt))
             u = collision_unitary(HS, ANC.hamiltonian(), hsa, dt)
-            rho_a = ANC.state
-            errs_w.append(abs(expectation(work_operator(u, hsa, rho_a), rho_s) / dt - w_ref))
-            errs_q.append(abs(expectation(heat_operator(u, ANC.hamiltonian().matrix(), rho_a),
-                                          rho_s) / dt - q_ref))
+            w, q = work_heat(u, HS, ANC.hamiltonian(), ANC.state, rho_s)
+            errs_w.append(abs(w / dt - w_ref))
+            errs_q.append(abs(q / dt - q_ref))
         ratios += [errs_w[0] / errs_w[1], errs_w[1] / errs_w[2],
                    errs_q[0] / errs_q[1], errs_q[1] / errs_q[2]]
     ok = all(1.6 <= r <= 2.6 for r in ratios)
@@ -192,9 +195,8 @@ def test_criterion_8_derived_steady_current():
     w_dot, q_dot = current_evaluators(coupling, HS, ANC)(r_star)
     hsa = build_interaction(coupling)
     u = collision_unitary(HS, ANC.hamiltonian(), hsa, coupling.dt)
-    w_rate = expectation(work_operator(u, hsa, ANC.state), r_star) / coupling.dt
-    q_rate = expectation(heat_operator(u, ANC.hamiltonian().matrix(), ANC.state),
-                         r_star) / coupling.dt
+    w_rate, q_rate = (x / coupling.dt for x in work_heat(u, HS, ANC.hamiltonian(), ANC.state,
+                                                           r_star))
     rho_star = density_matrix(r_star)
     _, joint_after = collide_once(rho_star, density_matrix(ANC.state), u)
     sigma, _ = entropy_production_collision(rho_star, joint_after, ANC)
@@ -212,7 +214,7 @@ def _iterate_dt_ladder(coupling, rho0, dts=(1e-3, 1e-4, 1e-5), tol=1e-7):
     rep = None
     for dt in dts:
         cfg = CollisionConfig(hs=HS, ancilla=ANC,
-                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
+                              coupling=CouplingSpec(coupling.j, dt),
                               n_collisions=1, rho0=rho, convergence_tol=tol)
         rep = steady_state_by_iteration(cfg)
         rho = rep.r_star

@@ -291,6 +291,23 @@ def test_exit_code_2_on_bad_config(tmp_path):
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
+def test_scaling_none_exits_2_with_the_sqrt_dt_hint(tmp_path, capsys):
+    # sqrt_dt is the only coupling scale: an absent key means it, and the
+    # H_SA of "none" is that of j * sqrt(dt)
+    absent = base_doc()
+    del absent["coupling"]["scaling"]
+    for doc in (absent, base_doc()):
+        coupling = parse_run_config(doc).collision.coupling
+        assert coupling.dt == 0.05 and coupling.j[0, 0] == 1.0
+    doc = base_doc()
+    doc["coupling"]["scaling"] = "none"
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: coupling.scaling" in err and "j * sqrt(dt)" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_importing_the_package_and_cli_loads_no_scipy():
     # scipy is a test dependency only: the runtime needs numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(collisim.__file__)))

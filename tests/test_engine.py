@@ -14,8 +14,9 @@ from collisim.engine import (CollisionConfig, NoSteadyStateError,
 from collisim.linalg import NotAStateError, check_density, kron, trace_distance
 from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                             bloch_state, build_interaction, density_matrix,
-                            diagonal_coupling, gibbs_state, pure_state, ssc_coupling)
-from collisim.thermo import expectation, heat_operator, work_operator
+                            diagonal_coupling, free_hamiltonians, gibbs_state, pure_state,
+                            ssc_coupling)
+from collisim.thermo import change_functional, expectation
 
 from conftest import (apply_map, bloch_vector, collide_once, eigen_trace_distance, entropy,
                       matrices_close, random_density, reference)
@@ -139,13 +140,13 @@ def test_run_records_valid_states_throughout():
 
 
 def test_halving_dt_leaves_state_at_fixed_time_invariant():
-    # scaling = sqrt_dt: rho(t) at t = 10 differs O(dt) between dt and dt/2
+    # H_SA = V / sqrt(dt): rho(t) at t = 10 differs O(dt) between dt and dt/2
     base = ssc_coupling(1.0, 0.5, 0.3, dt=1.0)
     t_phys = 10.0
     dists = []
     for dt in (0.04, 0.02):
-        a = run(_config(CouplingSpec(base.j, dt, base.scaling), n=int(round(t_phys / dt)))).final
-        b = run(_config(CouplingSpec(base.j, dt / 2, base.scaling), n=int(round(2 * t_phys / dt)))).final
+        a = run(_config(CouplingSpec(base.j, dt), n=int(round(t_phys / dt)))).final
+        b = run(_config(CouplingSpec(base.j, dt / 2), n=int(round(2 * t_phys / dt)))).final
         dists.append(trace_distance(a, b))
     assert dists[0] < 1.0 * 0.04
     assert dists[1] < 1.0 * 0.02
@@ -300,7 +301,8 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
     rho_a = density_matrix(r_a)
     h_sa, h_a, h_s = (build_interaction(cfg.coupling), cfg.ancilla.hamiltonian().matrix(),
                       cfg.hs.matrix())
-    k_w, k_q = work_operator(u, h_sa, r_a), heat_operator(u, h_a, r_a)
+    k_w, k_q = (change_functional(u, x, r_a)
+                for x in free_hamiltonians(cfg.hs, cfg.ancilla.hamiltonian()))
     led = traj.ledger
     rho = density_matrix(cfg.rho0)
     for k in range(n):

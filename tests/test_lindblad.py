@@ -235,7 +235,7 @@ def test_discrete_to_continuum_halving_ratio():
     dists = []
     for dt in (0.04, 0.02, 0.01):
         cfg = CollisionConfig(hs=HS, ancilla=ANC,
-                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
+                              coupling=CouplingSpec(coupling.j, dt),
                               n_collisions=int(round(t_phys / dt)), rho0=rho0)
         dists.append(trace_distance(run(cfg).final,
                                     evolve_continuous(gen, rho0, t_phys)))
@@ -255,7 +255,7 @@ def iterate_with_dt_ladder(coupling, hs, anc, rho0, dts=(1e-3, 1e-4, 1e-5),
     rep = None
     for dt in dts:
         cfg = CollisionConfig(hs=hs, ancilla=anc,
-                              coupling=CouplingSpec(coupling.j, dt, coupling.scaling),
+                              coupling=CouplingSpec(coupling.j, dt),
                               n_collisions=1, rho0=rho, convergence_tol=tol)
         rep = steady_state_by_iteration(cfg)
         rho = rep.r_star
@@ -289,7 +289,7 @@ def test_generator_matches_basis_free_expansion():
         j[:, :2] = rng.uniform(-1.5, 1.5, (3, 2))
         coupling = CouplingSpec(j, dt=0.05)
         gen = build_generator(coupling, HS, ANC)
-        v = build_interaction(CouplingSpec(coupling.j, coupling.dt, "none"))
+        v = build_interaction(coupling) * np.sqrt(coupling.dt)     # the g0-level V
         rho_th = density_matrix(ANC.state)
         for _ in range(5):
             rho = random_density(2, rng)

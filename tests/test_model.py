@@ -70,19 +70,19 @@ def test_gibbs_commutes_with_hamiltonian():
 
 
 def test_build_interaction_single_term():
-    spec = diagonal_coupling(1.0, 0.0, dt=1.0, scaling="none")
+    spec = diagonal_coupling(1.0, 0.0, dt=1.0)
     assert matrices_close(build_interaction(spec), kron(SIGMA_X, SIGMA_X), 1e-15)
 
 
 def test_build_interaction_energy_preserving_form():
     # sx sx + sy sy expands to 2(s+ s- + s- s+)
-    spec = diagonal_coupling(1.0, 1.0, dt=1.0, scaling="none")
+    spec = diagonal_coupling(1.0, 1.0, dt=1.0)
     expected = 2 * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
     assert matrices_close(build_interaction(spec), expected, 1e-15)
 
 
 def test_build_interaction_sqrt_dt_scaling():
-    spec = diagonal_coupling(1.0, 0.0, dt=0.04, scaling="sqrt_dt")
+    spec = diagonal_coupling(1.0, 0.0, dt=0.04)
     assert matrices_close(build_interaction(spec), 5.0 * kron(SIGMA_X, SIGMA_X), 1e-12)
 
 
@@ -94,7 +94,7 @@ def test_interaction_zero_thermal_odd_moment():
         j = np.zeros((3, 3))
         j[:, 0] = rng.uniform(-2, 2, 3)
         j[:, 1] = rng.uniform(-2, 2, 3)
-        spec = CouplingSpec(j, dt=1.0, scaling="none")
+        spec = CouplingSpec(j, dt=1.0)
         v = build_interaction(spec)
         first_moment = partial_trace(v @ kron(I2, rho_th), (2, 2), "S")
         assert np.max(np.abs(first_moment)) < 1e-12
@@ -160,7 +160,7 @@ def test_collision_unitary_factorizes_without_interaction():
 
 def test_collision_unitary_zero_time():
     hs = QubitHamiltonian(1.0)
-    hsa = build_interaction(diagonal_coupling(1.0, 0.5, dt=1.0, scaling="none"))
+    hsa = build_interaction(diagonal_coupling(1.0, 0.5, dt=1.0))
     assert matrices_close(collision_unitary(hs, hs, hsa, 0.0), np.eye(4), 1e-14)
 
 
@@ -220,8 +220,6 @@ def test_coupling_spec_validation():
         CouplingSpec(np.zeros((3, 3)), dt=-0.1)
     with pytest.raises(ValueError):
         CouplingSpec(np.full((3, 3), np.nan), dt=0.1)
-    with pytest.raises(ValueError):
-        CouplingSpec(np.zeros((3, 3)), dt=0.1, scaling="linear")
 
 
 def test_ancilla_prep_state_matches_gibbs():
