@@ -75,10 +75,19 @@ def _number(value: Any, path: str, allow_inf: bool = False) -> float:
         raise ConfigError(f"{path}: bad number {value!r}")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: integer beyond the float range") from None
     if not allow_inf and not math.isfinite(v):
         raise ConfigError(f"{path}: must be finite")
     return v
+
+
+def _positive_int(value: Any, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{path}: expected a positive integer")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +190,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError("run: expected an object")
     _require_keys(rn, {"n_collisions", "rho0", "convergence_tol"},
                   {"n_collisions", "rho0"}, "run")
-    n_collisions = rn["n_collisions"]
-    if not isinstance(n_collisions, int) or isinstance(n_collisions, bool) or n_collisions < 1:
-        raise ConfigError("run.n_collisions: expected a positive integer")
+    n_collisions = _positive_int(rn["n_collisions"], "run.n_collisions")
     rho0 = _parse_rho0(rn["rho0"], "run.rho0")
     tol = _number(rn.get("convergence_tol", CollisionConfig.convergence_tol),
                   "run.convergence_tol")
@@ -216,7 +223,7 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_run_config(doc)
 
@@ -280,9 +287,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
             for key in ("start", "stop", "steps"):
                 if key not in ax:
                     raise ConfigError(f"missing key {path}.{key}")
-            steps = ax["steps"]
-            if not isinstance(steps, int) or steps < 1:
-                raise ConfigError(f"{path}.steps: expected a positive integer")
+            steps = _positive_int(ax["steps"], f"{path}.steps")
             values = tuple(np.linspace(_number(ax["start"], f"{path}.start"),
                                        _number(ax["stop"], f"{path}.stop"), steps).tolist())
         # a bad path (a typo, or a key the base cannot take) is a config error
@@ -291,12 +296,8 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         parse_run_config(probe)
         axes.append(SweepAxis(path=ax["path"], values=values))
     # validated because existing configs set it; it selects nothing
-    parallel = doc.get("parallel", 1)
-    if not isinstance(parallel, int) or parallel < 1:
-        raise ConfigError("sweep.parallel: expected a positive integer")
-    cap = doc.get("cap", 10 ** 5)
-    if not isinstance(cap, int) or cap < 1:
-        raise ConfigError("sweep.cap: expected a positive integer")
+    _positive_int(doc.get("parallel", 1), "sweep.parallel")
+    cap = _positive_int(doc.get("cap", 10 ** 5), "sweep.cap")
     n_points = 1
     for axis in axes:
         n_points *= len(axis.values)
@@ -309,6 +310,6 @@ def load_sweep_config(path: str) -> SweepConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read sweep config {path}: {exc}") from exc
     return parse_sweep_config(doc)

@@ -1,88 +1,76 @@
 """GKSL generator induced by the collision coupling, and its steady states.
 
-The second-order expansion of the collision unitary gives
-    drho/dt = -i[H_S, rho] + sum_jk gamma_jk (S_j rho S_k^dag
-              - (1/2){S_k^dag S_j, rho}),
-with jumps S_j = sigma_j the Pauli system factors of the interaction and rates
-    gamma_jk = Tr[A_k^dag A_j rho_A^th],   A_j = sum_m J_jm sigma_m,
-the thermal auto-correlations of the ancilla factors (g0 absorbed in J).
-For an ancilla of Bloch vector r_A this is gamma = J (I - i E) J^T with
-E_mn = eps_mnl r_A,l. The rate matrix is a Gram matrix in a state-weighted
-inner product, hence Hermitian and positive semidefinite: the generator is
-a valid GKSL one. On Bloch vectors it is the affine dr/dt = A r + b with
-    A = 2 (Re gamma - Tr(Re gamma) I) + omega_s (z rotation),
-    b_l = -2 sum_jk eps_jkl Im gamma_jk.
-Stacked couplings or ancillas give stacks of generators and steady states.
+The continuous-time limit of the collision map (Ciccarello, Lorenzo,
+Giovannetti & Palma, Phys. Rep. 954, 1 (2022)) is, with g0 absorbed in J,
+    drho/dt = -i[H_S, rho] + Tr_A[V (rho (x) rho_A) V - (1/2){V^2, rho (x) rho_A}]
+for V = sum_lm J_lm sigma_l (x) sigma_m. Its rows dr_l/dt are built as
+those of the collision map: the affine functional of the adjoint generator
+on the system Pauli, L^dag(sigma_l (x) I) (thermo.generator_functional).
+In jump form its rates are gamma_jk = Tr[A_k^dag A_j rho_A] with
+A_j = sum_m J_jm sigma_m, a Gram matrix in a state-weighted inner product:
+Hermitian and PSD, so the generator is a valid GKSL one. Stacked couplings
+or ancillas give stacks of generators and steady states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import clamp_to_density, dagger
-from .model import AncillaPrep, CouplingSpec, QubitHamiltonian
+from .model import (PAULIS, SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    coupling_operator, density_matrix, free_hamiltonians)
 from .observables import SteadyStateReport, make_report
+from .thermo import generator_functional
 
 # Two smallest superoperator singular values below this fraction of the total
 # decay rate mark a degenerate (non-unique, initial-state dependent) family.
 DEGENERACY_TOL = 1e-8
 
-LEVI_CIVITA = np.zeros((3, 3, 3))
-LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-LEVI_CIVITA[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-
 I3 = np.eye(3)
 
-# -i[(omega/2) sigma_z, rho] on Bloch vectors: dr/dt = omega (e_z x r)
-Z_ROTATION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
+def rate_matrix(coupling: CouplingSpec, ancilla: AncillaPrep) -> np.ndarray:
+    """Rates gamma_jk = Tr[A_k^dag A_j rho_A] of the jumps sigma_x, sigma_y, sigma_z (or stacks).
 
-@dataclass(frozen=True, eq=False)
-class GKSLGenerator:
-    """System frequency (H_S = (omega/2) sigma_z) and the Hermitian PSD rate
-    matrix over the jumps (sigma_x, sigma_y, sigma_z)."""
-
-    omega: float
-    rates: np.ndarray
-
-    def __post_init__(self):
-        if self.rates.shape[-2:] != (3, 3):
-            raise ValueError("rate matrix must be 3x3, over the three Pauli jumps")
-        if not np.isfinite(self.rates).all():
-            raise ValueError("rate matrix is not finite (coupling overflow)")
-        if np.abs(self.rates - dagger(self.rates)).max() > 1e-12:
-            raise ValueError("rate matrix must be Hermitian")
-        w = np.linalg.eigvalsh(self.rates)
-        if w.min() < -1e-10:
-            raise ValueError(f"rate matrix not PSD: eigenvalue {w.min():.3e}")
-
-    def matrix(self) -> np.ndarray:
-        """The real 4x4 [[0, 0], [b, A]] of dr/dt = A r + b, acting on (1, r).
-
-        It is L on column-stacked states written in the orthonormal Pauli
-        basis {I, sx, sy, sz}/sqrt(2), so it has the singular values of L.
-        """
-        re, im = self.rates.real, self.rates.imag
-        a = 2 * (re - re.trace(axis1=-2, axis2=-1)[..., None, None] * I3)
-        g = np.zeros(a.shape[:-2] + (4, 4))
-        g[..., 1:, 1:] = a + self.omega * Z_ROTATION
-        g[..., 1:, 0] = -2 * np.einsum("jkl,...jk->...l", LEVI_CIVITA, im)
-        return g
+    Raises ValueError unless gamma is finite (else the coupling overflowed),
+    Hermitian and PSD, the CPTP guarantee of the generator, within
+    tolerances that scale with the total rate Tr gamma.
+    """
+    a = np.einsum("...jm,mab->...jab", coupling.j, PAULIS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.einsum("...kba,...jbc,...ca->...jk", a.conj(), a, density_matrix(ancilla.state))
+        total = gamma.trace(axis1=-2, axis2=-1).real
+    if not (np.isfinite(gamma).all() and np.isfinite(total).all()):
+        raise ValueError("rate matrix is not finite (coupling overflow)")
+    scale = np.maximum(1.0, total)
+    if (np.abs(gamma - dagger(gamma)).max(axis=(-2, -1)) > 1e-12 * scale).any():
+        raise ValueError("rate matrix must be Hermitian")
+    w = np.linalg.eigvalsh(gamma)[..., 0] / scale
+    if w.min() < -1e-10:
+        raise ValueError(f"rate matrix not PSD: eigenvalue {w.min():.3e} times the total rate")
+    return gamma
 
 
 def build_generator(coupling: CouplingSpec, hs: QubitHamiltonian,
-                    ancilla: AncillaPrep) -> GKSLGenerator:
-    """Generator induced by a coupling spec on a thermal ancilla (or stacks).
+                    ancilla: AncillaPrep) -> np.ndarray:
+    """The real 4x4 [[0, 0], [b, A]] of dr/dt = A r + b on (1, r), once rate_matrix passes.
 
-    Expects g0-level (sqrt_dt-scaled) couplings so that the rates are
-    dt-independent; a Pauli with a zero row of J gets zero rates.
+    Row l of (b, A) is the functional of L^dag(sigma_l (x) I), as row l of
+    engine.collision_map_superoperator is that of U^dag (sigma_l (x) I) U;
+    the first row is exactly zero. It is L on column-stacked states in the
+    orthonormal Pauli basis {I, sx, sy, sz}/sqrt(2), with the singular
+    values of L, and dt-independent for the g0-level J. A coupling whose
+    square overflows raises ValueError, as in current_evaluators.
     """
-    e = np.einsum("mnl,...l->...mn", LEVI_CIVITA, ancilla.state)
+    rate_matrix(coupling, ancilla)
+    h0 = free_hamiltonians(hs, ancilla.hamiltonian())[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = coupling.j @ (I3 - 1j * e) @ coupling.j.swapaxes(-1, -2)
-        return GKSLGenerator(omega=hs.omega, rates=(gamma + dagger(gamma)) / 2)
+        # against the stack axis of the three Paulis
+        v = coupling_operator(coupling.j)[..., None, :, :]
+        rows = generator_functional(v, h0, SIGMA_S, ancilla.state[..., None, :])
+    if not np.isfinite(rows).all():
+        raise ValueError("generator is not finite (coupling overflow)")
+    return np.concatenate([np.zeros_like(rows[..., :1, :]), rows], axis=-2)
 
 
 def kernel_state(g: np.ndarray, r_ref: np.ndarray | None = None,
@@ -139,4 +127,4 @@ def steady_state_kernel(g: np.ndarray,
 def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,
                     ancilla: AncillaPrep) -> SteadyStateReport:
     """Convenience: build the generator and solve its kernel in one call."""
-    return steady_state_kernel(build_generator(coupling, hs, ancilla).matrix(), hs)
+    return steady_state_kernel(build_generator(coupling, hs, ancilla), hs)

@@ -78,10 +78,20 @@ def change_functional(u: np.ndarray, x: np.ndarray, r_a: np.ndarray) -> np.ndarr
     return affine_functional(dagger(u) @ x @ u - x, r_a)
 
 
-def _current_kernel(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """V H V - (1/2){V^2, H}; equals -(1/2)[V,[V,H]]."""
+def generator_functional(v: np.ndarray, h0: np.ndarray, x: np.ndarray,
+                         r_a: np.ndarray) -> np.ndarray:
+    """Functional of L^dag(X) = i[H_0, X] + V X V - (1/2){V^2, X}, the continuum
+    twin of change_functional, for the g0-level coupling operator V.
+
+    Of the system Paulis it gives the generator's rows, of H_0 and I (x) H_A
+    the work and heat currents (there i[H_0, X] vanishes exactly).
+    """
+    # The first-order term i[V, X]/sqrt(dt) of one collision is left out
+    # (ROADMAP item 2). Over the ancilla it is the field sum_l (J r_A)_l sigma_l,
+    # zero only when J has no sigma_z column or beta omega_a = 0.
     v2 = v @ v
-    return v @ h @ v - 0.5 * (v2 @ h + h @ v2)
+    return affine_functional(1j * (h0 @ x - x @ h0) + v @ x @ v - 0.5 * (v2 @ x + x @ v2),
+                             r_a)
 
 
 def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
@@ -89,16 +99,15 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
     """Continuous-limit (work, heat) currents as a function of the system state.
 
     Returns f(r) -> (w_dot, q_dot) for one Bloch vector or a stack of them
-    (g0-level J units); the kernels are built once, as affine functionals
-    with the stack axes of the config, against which r broadcasts. A
-    coupling whose square overflows raises ValueError, as the rate matrix
-    of the same coupling does.
+    (g0-level J units): the functionals of L^dag(H_0) and L^dag(I (x) H_A)
+    (generator_functional), built once with the stack axes of the config,
+    against which r broadcasts. A coupling whose square overflows raises
+    ValueError, as the rate matrix of the same coupling does.
     """
     h0, ha = free_hamiltonians(hs, ancilla.hamiltonian())
     with np.errstate(over="ignore", invalid="ignore"):
         v = coupling_operator(coupling.j)
-        k_w = affine_functional(_current_kernel(v, h0), ancilla.state)
-        k_q = affine_functional(_current_kernel(v, ha), ancilla.state)
+        k_w, k_q = (generator_functional(v, h0, x, ancilla.state) for x in (h0, ha))
     if not (np.isfinite(k_w).all() and np.isfinite(k_q).all()):
         raise ValueError("current kernels are not finite (coupling overflow)")
 

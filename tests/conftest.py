@@ -16,7 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Columns: the column-stacked I, sigma_x, sigma_y, sigma_z. Over sqrt(2) they
 # are an orthonormal basis, in which rho = (I + r . sigma)/2 reads (1, r)/sqrt(2);
-# unscaled, their entries are exact. gen.matrix() is L written in it.
+# unscaled, their entries are exact. lindblad.build_generator is L written in it.
 PAULI_BASIS = PAULI4.swapaxes(-1, -2).reshape(4, 4).T
 
 
@@ -121,9 +121,9 @@ def apply_map(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (t[..., 1:, 1:] @ r[..., None])[..., 0] + t[..., 1:, 0]
 
 
-def evolve_continuous(gen, r0: np.ndarray, t: float) -> np.ndarray:
-    """The Bloch vector exp(t L) r0, with scipy.linalg.expm of gen.matrix()."""
-    prop = scipy.linalg.expm(t * gen.matrix())
+def evolve_continuous(gen: np.ndarray, r0: np.ndarray, t: float) -> np.ndarray:
+    """The Bloch vector exp(t L) r0, with scipy.linalg.expm of the generator's 4x4 matrix."""
+    prop = scipy.linalg.expm(t * gen)
     return clamp_to_density((prop @ np.r_[1.0, r0])[1:])
 
 

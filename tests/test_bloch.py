@@ -92,7 +92,7 @@ def test_generator_matrix_reproduces_the_reference_generator(j, beta, omega_s, o
     assert np.max(np.abs(want.imag)) <= 1e-12
     gen = build_generator(CouplingSpec(j, dt=0.05), QubitHamiltonian(omega_s),
                           AncillaPrep(beta=beta, omega_a=omega_a))
-    assert np.max(np.abs(gen.matrix() - want.real)) <= 1e-12
+    assert np.max(np.abs(gen - want.real)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import string
 import subprocess
 import sys
@@ -118,13 +119,20 @@ def test_sweep_cap_enforced():
 @pytest.mark.parametrize("key, value, message", [
     ("parallel", 0, "sweep.parallel: expected a positive integer"),
     ("parallel", 1.5, "sweep.parallel: expected a positive integer"),
+    ("parallel", True, "sweep.parallel: expected a positive integer"),
     ("cap", 0, "sweep.cap: expected a positive integer"),
     ("cap", "10", "sweep.cap: expected a positive integer"),
-    ("cap", 1, "sweep: 2 points exceed the cap 1")])
+    ("cap", True, "sweep.cap: expected a positive integer"),
+    ("cap", 1, "sweep: 2 points exceed the cap 1"),
+    ("steps", True, "sweep.axes[0].steps: expected a positive integer"),
+    ("steps", 0, "sweep.axes[0].steps: expected a positive integer")])
 def test_sweep_parallel_and_cap_keys_validated_with_exit_2(tmp_path, capsys, key, value, message):
-    doc = {"base": base_doc(), "axes": [{"path": "model.beta", "values": [1.0, 2.0]}],
-           key: value}
-    with pytest.raises(ConfigError, match=message):
+    doc = {"base": base_doc(), "axes": [{"path": "model.beta", "values": [1.0, 2.0]}]}
+    if key == "steps":
+        doc["axes"][0] = {"path": "model.beta", "start": 1.0, "stop": 2.0, "steps": value}
+    else:
+        doc[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_sweep_config(doc)
     sweep_path = write_config(tmp_path, doc, "sweep.json")
     assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 2
@@ -318,6 +326,24 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_integer_beyond_the_float_range_exits_2(tmp_path, capsys, command):
+    # JSON integers are exact: one of 400 digits has no float
+    doc, where = base_doc(), "model.beta"
+    doc["model"]["beta"] = 10 ** 400
+    if command == "sweep":
+        doc, where = {"base": base_doc(), "axes": [
+            {"path": "model.beta", "values": [1.0, 10 ** 400]}]}, "sweep.axes[0].values[1]"
+    cfg_path = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    assert f"config error: {where}: integer beyond the float range" in capsys.readouterr().err
+    # past the digit limit of int(), json itself rejects the number
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc).replace("1" + "0" * 400, "1" * 5000))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "config error: cannot read" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_unwritable_path(tmp_path):

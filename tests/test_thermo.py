@@ -240,7 +240,7 @@ def test_steady_sigma_rate_equals_beta_heat_current():
         gen = build_generator(coupling, hs, anc)
         w, v = np.linalg.eigh(density_matrix(rep.r_star))
         log_rho = (v * np.log(np.clip(w, 1e-300, None))) @ v.conj().T
-        l_rho = density_matrix((gen.matrix() @ np.r_[1.0, rep.r_star])[1:]) - I2 / 2
+        l_rho = density_matrix((gen @ np.r_[1.0, rep.r_star])[1:]) - I2 / 2
         ds_dt = -np.trace(l_rho @ log_rho).real
         q_dot = current_evaluators(coupling, hs, anc)(rep.r_star)[1]
         sigma_rate = ds_dt + anc.beta * q_dot
