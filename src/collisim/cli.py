@@ -93,7 +93,8 @@ def trajectory_rows(cfg: CollisionConfig) -> np.ndarray:
     traj = run(cfg)
     r = traj.states
     z = r[..., 2]
-    dt = cfg.coupling.dt
+    # the model scalars carry the config's stack axes: align them with time
+    dt, omega = (np.asarray(x)[..., None] for x in (cfg.coupling.dt, cfg.hs.omega))
     # the current functionals carry the config's stack axes: put time first
     cur_w, cur_q = (np.moveaxis(c, 0, -1) for c in current_evaluators(
         cfg.coupling, cfg.hs, cfg.ancilla)(np.moveaxis(r, -2, 0)))
@@ -105,7 +106,7 @@ def trajectory_rows(cfg: CollisionConfig) -> np.ndarray:
         n, n * dt,
         # <e|rho|g> = (x - i y)/2; 0.0 - y writes no -0.0
         (1 + z) / 2, (1 - z) / 2, r[..., 0] / 2, (0.0 - r[..., 1]) / 2,
-        effective_beta(r, cfg.hs.omega), l1_coherence(r), ergotropy(r, cfg.hs.omega),
+        effective_beta(r, omega), l1_coherence(r), ergotropy(r, omega),
         w, q, de_s, ds, sigma,
         np.cumsum(w, axis=-1), np.cumsum(q, axis=-1), np.cumsum(sigma, axis=-1),
         w / dt, q / dt, sigma / dt,
@@ -191,7 +192,7 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
               out_format: str | None = None) -> tuple[str, int]:
     """Evaluate all sweep points as stacks of trajectories; rows in axis order.
 
-    Consecutive points that differ only in J, beta and rho0 run as one stack.
+    Consecutive points of the same run.n_collisions run as one stack.
     Failed points emit no data rows; they are recorded with their error in a
     <output>_failures.json sidecar and make the command exit 3.
     """
@@ -199,7 +200,7 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
     fmt_ = out_format or base_cfg.out_format
     parsed = [_sweep_point_safe(doc) for doc in sweep.points()]
     results: list = []
-    for _, group in groupby(parsed, key=_stack_key):
+    for _, group in groupby(parsed, key=lambda cfg: getattr(cfg, "n_collisions", None)):
         group = list(group)
         results += group if isinstance(group[0], str) else _stack_rows(group)
 
@@ -235,27 +236,20 @@ def _sweep_point_safe(doc: dict):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _stack_key(cfg):
-    """What the points of one stack share: all but J, beta and rho0."""
-    if isinstance(cfg, str):
-        return None
-    return cfg.hs.omega, cfg.ancilla.omega_a, cfg.coupling.dt, cfg.n_collisions
-
-
 def _stack_rows(cfgs: list[CollisionConfig]) -> list:
     """The trajectory table of each point of a stack, or the error of a point.
 
-    When the stack fails, its points run alone, so that only the failing
-    ones are lost.
+    The points share n_collisions; every other field is stacked. When the
+    stack fails, its points run alone, so that only the failing ones are lost.
     """
-    first = cfgs[0]
+    omega_s, beta, omega_a, j, dt, rho0 = (np.array(x) for x in zip(*(
+        (c.hs.omega, c.ancilla.beta, c.ancilla.omega_a, c.coupling.j, c.coupling.dt, c.rho0)
+        for c in cfgs)))
     try:
         table = trajectory_rows(CollisionConfig(
-            hs=first.hs,
-            ancilla=AncillaPrep(np.array([c.ancilla.beta for c in cfgs]), first.ancilla.omega_a),
-            coupling=CouplingSpec(np.array([c.coupling.j for c in cfgs]), first.coupling.dt),
-            n_collisions=first.n_collisions, rho0=np.array([c.rho0 for c in cfgs])))
-    except (ValueError, np.linalg.LinAlgError) as exc:
+            hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta, omega_a),
+            coupling=CouplingSpec(j, dt), n_collisions=cfgs[0].n_collisions, rho0=rho0))
+    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
         if len(cfgs) == 1:
             return [f"{type(exc).__name__}: {exc}"]
         return [res for c in cfgs for res in _stack_rows([c])]
@@ -419,8 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSteadyStateError, ValueError, np.linalg.LinAlgError) as exc:
-        # the failures a sweep records per point (NotAStateError is a ValueError)
+    except (NoSteadyStateError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        # the failures a sweep records per point (NotAStateError is a ValueError;
+        # a MemoryError is a run.n_collisions too large to allocate)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -41,9 +41,9 @@ class NoSteadyStateError(RuntimeError):
 class CollisionConfig:
     """Everything one repeated-interaction run needs.
 
-    coupling.j, ancilla.beta and the Bloch vector rho0 may carry stack axes
-    that broadcast together: a grid of runs for `run` and
-    `propagate_collisions`.
+    Every model scalar (hs.omega, ancilla.beta and omega_a, coupling.dt),
+    coupling.j and the Bloch vector rho0 may carry stack axes that broadcast
+    together: a grid of runs for `run` and `propagate_collisions`.
     """
 
     hs: QubitHamiltonian
@@ -92,8 +92,8 @@ def _lift(r: np.ndarray) -> np.ndarray:
 def run(config: CollisionConfig) -> Trajectory:
     """Propagate rho0 through n_collisions applications of the map, with the ledger.
 
-    A stacked config (coupling.j, ancilla.beta or rho0 with stack axes) runs
-    as one stack of trajectories: states (..., n + 1, 3) and ledger arrays
+    A stacked config (any of its model scalars, J or rho0 with stack axes)
+    runs as one stack of trajectories: states (..., n + 1, 3) and ledger arrays
     (..., n). The states are checked once, as a stack, and never repaired:
     a Bloch vector longer than 1 + 2 PSD_TOL raises NotAStateError.
     Deterministic: identical configs give identical output.
@@ -109,13 +109,13 @@ def run(config: CollisionConfig) -> Trajectory:
     states = lifted[..., 1:]
 
     entropies = bloch_entropy(check_density(states, "trajectory state"))
-    # E_S = Tr[H_S rho] = (omega/2) z: the functional (0, 0, 0, omega/2)
-    energies = expectation(np.array([0.0, 0.0, 0.0, config.hs.omega / 2]), states)
+    # E_S = Tr[H_S rho] = (omega/2) z, with omega against the time axis; + 0.0 makes no -0.0
+    energies = np.asarray(config.hs.omega)[..., None] / 2 * states[..., 2] + 0.0
     before = states[..., :-1, :]
     # W and Q are the changes of the free Hamiltonians H_0 and I (x) H_A
     k_w, k_q = (change_functional(u, x, r_a)
                 for x in free_hamiltonians(config.hs, config.ancilla.hamiltonian()))
-    ledger = ThermoLedger(dt=config.coupling.dt, beta=config.ancilla.beta)
+    ledger = ThermoLedger(beta=config.ancilla.beta)
     # the functionals carry the config's stack axes, not the time axis
     ledger.record(w=expectation(k_w[..., None, :], before),
                   q=expectation(k_q[..., None, :], before),

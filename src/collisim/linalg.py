@@ -41,13 +41,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def exp_minus_i(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) for Hermitian h (or a stack), via eigendecomposition.
+    """Unitary exp(-i h t) for Hermitian h, or a stack of h and of t.
 
     Eigendecomposition keeps the result unitary to round-off, unlike a
     truncated series.
     """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)[..., None, :]) @ dagger(v)
+    return (v * np.exp(-1j * w * np.asarray(t)[..., None])[..., None, :]) @ dagger(v)
 
 
 def check_density(r: np.ndarray, what: str = "state") -> np.ndarray:

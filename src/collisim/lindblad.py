@@ -63,7 +63,7 @@ def build_generator(coupling: CouplingSpec, hs: QubitHamiltonian,
     square overflows raises ValueError, as in current_evaluators.
     """
     rate_matrix(coupling, ancilla)
-    h0 = free_hamiltonians(hs, ancilla.hamiltonian())[0]
+    h0 = free_hamiltonians(hs, ancilla.hamiltonian())[0][..., None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
         # against the stack axis of the three Paulis
         v = coupling_operator(coupling.j)[..., None, :, :]

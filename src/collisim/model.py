@@ -4,7 +4,8 @@ Basis convention: the qubit basis is (|e>, |g>) with sigma_z = diag(+1, -1),
 so H = (omega/2) sigma_z puts the excited state at energy +omega/2 and the
 thermal state, Bloch vector (0, 0, -tanh(beta omega/2)), has the smaller
 population on |e>. Figure labels |1> and |0> map to |e> and |g>. States are
-Bloch vectors; the constructors here are where they enter.
+Bloch vectors; the constructors here are where they enter. Every scalar
+(omega, beta, dt) may be an array of stack axes, which lead in what it builds.
 """
 
 from __future__ import annotations
@@ -35,19 +36,19 @@ class QubitHamiltonian:
     omega: float
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
+        if not np.isfinite(self.omega).all():
             raise ValueError("omega must be finite")
 
     def matrix(self) -> np.ndarray:
-        return (self.omega / 2) * SIGMA_Z
+        return (np.asarray(self.omega)[..., None, None] / 2) * SIGMA_Z
 
 
 @dataclass(frozen=True)
 class AncillaPrep:
     """Thermal ancilla preparation: inverse temperature and frequency.
 
-    beta may be +-inf (zero-temperature limits) or an array (a stack of
-    ancillas); omega_a must be finite.
+    beta may be +-inf (zero-temperature limits); omega_a must be finite.
+    Either may be an array: a stack of ancillas.
     """
 
     beta: float
@@ -56,7 +57,7 @@ class AncillaPrep:
     def __post_init__(self):
         if np.isnan(self.beta).any():
             raise ValueError("beta must be a real number or +-inf")
-        if not math.isfinite(self.omega_a):
+        if not np.isfinite(self.omega_a).all():
             raise ValueError("omega_a must be finite")
 
     def hamiltonian(self) -> QubitHamiltonian:
@@ -75,7 +76,7 @@ class CouplingSpec:
 
     The J_lm are the g0-level constants; the built interaction carries the
     extra dt**-0.5, so the induced master equation is dt-independent. A
-    (..., 3, 3) stack of J describes a stack of couplings that share dt.
+    (..., 3, 3) stack of J and an array of dt broadcast to a stack of couplings.
     """
 
     j: np.ndarray            # 3x3 real, (x,y,z) x (x,y,z)
@@ -88,7 +89,7 @@ class CouplingSpec:
         if not np.all(np.isfinite(jm)):
             raise ValueError("all J_lm must be finite")
         object.__setattr__(self, "j", jm)
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        if not ((self.dt > 0) & np.isfinite(self.dt)).all():
             raise ValueError("dt must be positive and finite")
         self.j.setflags(write=False)
 
@@ -143,15 +144,16 @@ def ssc_to_coupling(angles: SscAngles, dt: float) -> CouplingSpec:
 def gibbs_state(h: QubitHamiltonian, beta: float) -> np.ndarray:
     """Bloch vector (0, 0, -tanh(beta omega/2)) of the thermal state exp(-beta H)/Z.
 
-    An array of beta gives a stack of states. beta = +inf gives the ground
-    state (-inf the top one); at omega = 0 an infinite beta is an error,
-    because the limit depends on the approach path.
+    Arrays of beta and omega give a stack of states. beta = +inf gives the
+    ground state (-inf the top one); at omega = 0 an infinite beta is an
+    error, because the limit depends on the approach path.
     """
     beta = np.asarray(beta, dtype=float)
-    if h.omega == 0 and np.isinf(beta).any():
+    if (np.isinf(beta) & (h.omega == 0)).any():
         raise ValueError("ill-defined zero-temperature limit: extremal eigenspace degenerate")
-    r = np.zeros(beta.shape + (3,))
-    r[..., 2] = -np.tanh(beta * h.omega / 2)
+    x = beta * h.omega / 2
+    r = np.zeros(x.shape + (3,))
+    r[..., 2] = -np.tanh(x)
     return r
 
 
@@ -164,19 +166,21 @@ def coupling_operator(j: np.ndarray) -> np.ndarray:
 
 
 def build_interaction(spec: CouplingSpec) -> np.ndarray:
-    """The interaction Hamiltonian H_SA = V / sqrt(dt) (a stack for stacked J).
+    """The interaction Hamiltonian H_SA = V / sqrt(dt) (a stack for stacked J or dt).
 
     An entry beyond the float range is inf; collision_unitary rejects it.
     """
+    # Python's pow per value, as for a scalar dt: numpy's can round the last bit differently
+    scale = np.asarray(np.asarray(spec.dt, dtype=object) ** -0.5, dtype=float)
     with np.errstate(over="ignore"):
-        return coupling_operator(spec.j) * spec.dt ** -0.5
+        return coupling_operator(spec.j) * scale[..., None, None]
 
 
 def free_hamiltonians(hs: QubitHamiltonian, ha: QubitHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """H_0 = H_S (x) I + I (x) H_A and I (x) H_A, whose changes in one
     collision are the switching work and the heat (U conserves H_0 + H_SA)."""
-    h_a = ha.omega / 2 * SZ_A
-    return hs.omega / 2 * SZ_S + h_a, h_a
+    h_a = np.asarray(ha.omega)[..., None, None] / 2 * SZ_A
+    return np.asarray(hs.omega)[..., None, None] / 2 * SZ_S + h_a, h_a
 
 
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,

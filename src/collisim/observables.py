@@ -27,12 +27,11 @@ def effective_beta(r: np.ndarray, omega_s: float) -> float:
     negative for inverted populations. A vanishing population gives the
     limit of the log-ratio: p_e = 0 gives +inf / omega_s, that is +inf for
     omega_s > 0 and -inf for omega_s < 0 (all weight on the top level is
-    beta = -inf), and p_g = 0 the opposite sign. nan for omega_s = 0, where
-    no temperature is defined. Takes one state or a stack of them.
+    beta = -inf), and p_g = 0 the opposite sign. nan where omega_s = 0, where
+    no temperature is defined. Takes one state or a stack; omega_s broadcasts.
     """
     z = r[..., 2]
-    if omega_s == 0:
-        return per_state(np.full(z.shape, math.nan))
+    omega_s = np.where(omega_s == 0, math.nan, omega_s)
     # |z| may pass 1 by round-off: that population is 0
     with np.errstate(divide="ignore", over="ignore"):
         return per_state(np.log(np.maximum(1 - z, 0.0) / np.maximum(1 + z, 0.0)) / omega_s)
@@ -48,7 +47,7 @@ def ergotropy(r: np.ndarray, omega: float) -> float:
 
     Tr[rho H] minus the energy of the passive state, which puts the larger
     eigenvalue (1 + |r|)/2 on the lower level: (omega z + |omega| |r|)/2.
-    Nonnegative by construction. Takes one state or a stack of them.
+    Nonnegative by construction. Takes one state or a stack; omega broadcasts.
     """
     length = np.sqrt((r * r).sum(axis=-1))
     return per_state(np.maximum(omega * r[..., 2] + abs(omega) * length, 0.0) / 2)

@@ -123,9 +123,9 @@ class ThermoLedger:
 
     Each record is an (..., n) array, one entry per collision, with the
     stack axes of the trajectories leading; beta broadcasts against them.
+    Rates are records over dt, as the trajectory table writes them.
     """
 
-    dt: float
     beta: float | np.ndarray
     w: np.ndarray = field(default_factory=lambda: np.empty(0))
     q: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -138,9 +138,6 @@ class ThermoLedger:
         self.w, self.q, self.de_s, self.ds = (np.asarray(x, dtype=float)
                                               for x in (w, q, de_s, ds))
         self.sigma = entropy_production(self.ds, self.q, np.asarray(self.beta)[..., None])
-
-    def rates(self, key: str) -> np.ndarray:
-        return getattr(self, key) / self.dt
 
     def first_law_residuals(self) -> np.ndarray:
         """dE_S - W + Q per collision; zero up to round-off by unitarity."""

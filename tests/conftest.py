@@ -96,13 +96,14 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
 
 def collide_once(rho_s: np.ndarray, rho_a: np.ndarray,
                  u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla.
+    """One collision: joint unitary on rho_s (x) rho_a, then trace out the ancilla
+    (of each of a stack).
 
     The single-collision reference that the affine map (M, c) reproduces, on
     density matrices. Returns the next system state and the joint state
     after the collision.
     """
-    if not matrices_close(dagger(u) @ u, np.eye(u.shape[0]), 1e-10):
+    if not matrices_close(dagger(u) @ u, np.eye(u.shape[-1]), 1e-10):
         raise ValueError("invalid propagator: u is not unitary within 1e-10")
     joint_after = u @ kron(rho_s, rho_a) @ dagger(u)
     return hermitize(partial_trace(joint_after, (2, 2), "S")), joint_after

@@ -546,6 +546,31 @@ def test_sweep_failed_point_recorded_exit_3(tmp_path):
     assert len(lines) == 1 + 6  # good point only: header + 5+1 states
 
 
+# np.empty of this many collisions fails at once, without allocating
+HUGE_N = 10 ** 15
+
+
+def test_run_too_long_to_allocate_is_a_numerical_failure(tmp_path, capsys):
+    doc = base_doc()
+    doc["run"]["n_collisions"] = HUGE_N
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_point_too_long_to_allocate_fails_alone(tmp_path):
+    doc = sweep_doc([{"path": "run.n_collisions", "values": [10, HUGE_N]}])
+    sweep_path = write_config(tmp_path, doc, "sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path)]) == 3
+    failures = json.loads((tmp_path / "out_sweep_failures.json").read_text())
+    assert [f["point"] for f in failures] == [1]
+    assert failures[0]["error"].startswith("MemoryError: ")
+    lines = (tmp_path / "out_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 11     # the 10-collision point: header + 10+1 states
+
+
 def test_sweep_point_with_overflowing_currents_fails_alone(tmp_path):
     doc = sweep_doc([{"path": "coupling.j.xx", "values": [1.0, 1e200, 0.5]}], n=5)
     sweep_path = write_config(tmp_path, doc, "sweep.json")

@@ -1,6 +1,7 @@
 """Properties of the stacked collision-map layer: a grid of P points gives,
 slice by slice, what P separate single-point calls give."""
 
+import itertools
 import json
 import math
 
@@ -29,26 +30,30 @@ def _linear_image(t, x):
     coords = np.einsum("mij,ji->m", PAULI4, x)
     return np.einsum("...m,mij->...ij", (t @ coords), PAULI4) / 2
 
+# one point: J (9 entries), beta, dt, omega_s, omega_a
+POINT = (st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
+         st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
+         st.floats(1e-3, 0.3), st.floats(-2.0, 2.0), st.floats(0.2, 2.0))
+# 1 to 5 points, as one list per parameter
 points = st.integers(1, 5).flatmap(lambda p: st.tuples(
-    st.lists(st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9), min_size=p, max_size=p),
-    st.lists(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
-             min_size=p, max_size=p)))
+    *(st.lists(x, min_size=p, max_size=p) for x in POINT)))
 
 
 def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None):
     """The stacked config of the drawn points and the single-point configs.
 
-    rho0, if given, is a stack with one state per point.
+    Each parameter is a list with one value per point; rho0, if given, is a
+    stack with one state per point.
     """
     rho0 = np.array([[0.0, 0.0, 0.8]] * len(beta)) if rho0 is None else rho0
 
-    def config(j, beta, rho0):
+    def config(j, beta, dt, omega_s, omega_a, rho0):
         return CollisionConfig(
             hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
             coupling=CouplingSpec(np.reshape(j, np.shape(j)[:-1] + (3, 3)), dt=dt),
             n_collisions=n, rho0=rho0)
-    return (config(np.array(j), np.array(beta), rho0),
-            [config(*point) for point in zip(j, beta, rho0)])
+    return (config(*map(np.array, (j, beta, dt, omega_s, omega_a)), rho0),
+            [config(*point) for point in zip(j, beta, dt, omega_s, omega_a, rho0)])
 
 
 def _maps(cfg):
@@ -56,10 +61,9 @@ def _maps(cfg):
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=points, dt=st.floats(1e-3, 0.3), omega_s=st.floats(-2.0, 2.0),
-       omega_a=st.floats(0.2, 2.0), seed=st.integers(0, 2 ** 16))
-def test_stacked_maps_match_single_points_and_are_cptp(grid, dt, omega_s, omega_a, seed):
-    stacked, singles = _grid(*grid, dt, omega_s, omega_a)
+@given(grid=points, seed=st.integers(0, 2 ** 16))
+def test_stacked_maps_match_single_points_and_are_cptp(grid, seed):
+    stacked, singles = _grid(*grid)
     phis = _maps(stacked)
     rho = random_density(2, np.random.default_rng(seed))
     for phi, cfg in zip(phis, singles):
@@ -99,14 +103,13 @@ def test_stacked_clamp_equals_per_state_and_raises_on_any_bad_state(p, seed, shi
 
 
 @settings(max_examples=60, deadline=None)
-@given(grid=points, omega_s=st.floats(-2.0, 2.0), omega_a=st.floats(0.2, 2.0))
-def test_stacked_kernel_solve_matches_single_point_reports(grid, omega_s, omega_a):
-    stacked, singles = _grid(*grid, 0.05, omega_s, omega_a)
-    hs = QubitHamiltonian(omega_s)
+@given(grid=points)
+def test_stacked_kernel_solve_matches_single_point_reports(grid):
+    stacked, singles = _grid(*grid)
 
     def solve(cfg):
         try:
-            return steady_state_of(cfg.coupling, hs, cfg.ancilla)
+            return steady_state_of(cfg.coupling, cfg.hs, cfg.ancilla)
         except ValueError as exc:     # includes NotAStateError
             return type(exc)
     reports = [solve(cfg) for cfg in singles]
@@ -129,15 +132,16 @@ def test_stacked_kernel_solve_matches_single_point_reports(grid, omega_s, omega_
 
 
 @settings(max_examples=40, deadline=None)
-@given(grid=points, dt=st.floats(1e-3, 0.3), omega_s=st.floats(-2.0, 2.0),
-       omega_a=st.floats(0.2, 2.0), n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
-def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, n, seed):
-    j, beta = grid
-    # every stack mixes finite beta with both zero-temperature limits
-    j, beta = j + [j[0], j[-1]], beta + [math.inf, -math.inf]
+@given(grid=points, n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_stacked_run_slices_match_single_point_runs(grid, n, seed):
+    # every stack mixes finite beta with both zero-temperature limits, at
+    # the other parameters of its first and last points
+    grid = [x + [x[0], x[-1]] for x in grid]
+    grid[1][-2:] = [math.inf, -math.inf]
+    beta = grid[1]
     rng = np.random.default_rng(seed)
     rho0 = np.array([random_bloch(rng) for _ in beta])
-    stacked, singles = _grid(j, beta, dt, omega_s, omega_a, n, rho0)
+    stacked, singles = _grid(*grid, n, rho0)
     traj = run(stacked)
     assert traj.states.shape == (len(beta), n + 1, 3)
     for k, cfg in enumerate(singles):
@@ -151,13 +155,10 @@ def test_stacked_run_slices_match_single_point_runs(grid, dt, omega_s, omega_a, 
 
 
 @settings(max_examples=80, deadline=None)
-@given(j=st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9),
-       beta=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
-       dt=st.floats(1e-3, 0.3), omega_s=st.floats(-2.0, 2.0), omega_a=st.floats(0.2, 2.0),
-       seed=st.integers(0, 2 ** 16))
-def test_iterated_state_is_the_limit_of_the_collision_map(j, beta, dt, omega_s, omega_a, seed):
+@given(point=st.tuples(*POINT), seed=st.integers(0, 2 ** 16))
+def test_iterated_state_is_the_limit_of_the_collision_map(point, seed):
     n = 10 ** 4
-    (cfg,) = _grid([j], [beta], dt, omega_s, omega_a,
+    (cfg,) = _grid(*([x] for x in point),
                    rho0=np.array([random_bloch(np.random.default_rng(seed))]))[1]
     phi = _maps(cfg)
     after_n = (np.linalg.matrix_power(phi, n) @ np.r_[1.0, cfg.rho0])[1:]
@@ -166,7 +167,7 @@ def test_iterated_state_is_the_limit_of_the_collision_map(j, beta, dt, omega_s, 
     except NoSteadyStateError:
         # no limit: n collisions later, one more still moves the state
         step = trace_distance(apply_map(phi, after_n), after_n)
-        assert step >= 0.5 * cfg.convergence_tol * dt
+        assert step >= 0.5 * cfg.convergence_tol * cfg.coupling.dt
         return
     rho = rep.r_star
     check_density(rho)
@@ -207,33 +208,45 @@ def _counting_runs(monkeypatch):
     return sizes
 
 
-def test_sweep_split_into_stacks_matches_standalone_runs(tmp_path, monkeypatch):
-    omegas, betas = [0.0, 1.0, 2.5], [0.5, 2.0, 4.0]
-    sizes = _counting_runs(monkeypatch)
-    code, out = _sweep(tmp_path, [{"path": "model.omega_s", "values": omegas},
-                                  {"path": "model.beta", "values": betas}])
+def _check_sweep_against_standalone_runs(out_dir, axes, sizes):
+    """Sweep the axes as one stack and compare each point with its own `run`."""
+    out_dir.mkdir()
+    code, out = _sweep(out_dir, [{"path": path, "values": v} for path, v in axes.items()])
     assert code == 0
-    # the omega_s axis splits the sweep into one stack per value
-    assert sizes == [len(betas)] * len(omegas)
+    points = list(itertools.product(*axes.values()))
+    # every point has the same run.n_collisions, so the sweep is one stack
+    assert sizes == [len(points)]
     header, rows = _table(out / "out_sweep.csv")
     assert header[2:] == list(cli.RUN_COLUMNS)
     per_point = SWEEP_BASE["run"]["n_collisions"] + 1
-    assert len(rows) == len(omegas) * len(betas) * per_point
-    for k, (omega_s, beta) in enumerate((o, b) for o in omegas for b in betas):
+    assert len(rows) == len(points) * per_point
+    for k, values in enumerate(points):
         doc = json.loads(json.dumps(SWEEP_BASE))
-        doc["model"].update(omega_s=omega_s, beta=beta)
-        cfg_path, out_k = tmp_path / f"run{k}.json", tmp_path / f"run{k}"
+        for path, value in zip(axes, values):
+            section, key = path.split(".")
+            doc[section][key] = value
+        cfg_path, out_k = out_dir / f"run{k}.json", out_dir / f"run{k}"
         cfg_path.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out_k)]) == 0
         _, expected = _table(out_k / "out.csv")
         for got, want in zip(rows[k * per_point:(k + 1) * per_point], expected):
-            assert [float(x) for x in got[:2]] == [omega_s, beta]
+            assert [float(x) for x in got[:2]] == list(values)
             for x, y in zip(got[2:], want):
                 x, y = float(x), float(y)
                 if math.isfinite(y):
                     assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
                 else:
                     assert x == y or math.isnan(x) and math.isnan(y)
+
+
+def test_sweep_split_into_stacks_matches_standalone_runs(tmp_path, monkeypatch):
+    sizes = _counting_runs(monkeypatch)
+    for name, axes in (("omega_s_beta", {"model.omega_s": [0.0, 1.0, 2.5],
+                                         "model.beta": [0.5, 2.0, 4.0]}),
+                       ("dt_omega_a", {"coupling.dt": [0.01, 0.037, 0.2],
+                                       "model.omega_a": [-0.7, 0.3, 1.9]})):
+        sizes.clear()
+        _check_sweep_against_standalone_runs(tmp_path / name, axes, sizes)
 
 
 def test_sweep_point_failing_in_a_stack_spares_its_neighbours(tmp_path, monkeypatch):

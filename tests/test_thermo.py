@@ -363,7 +363,7 @@ def test_weak_coupling_rate_disagrees_off_the_thermal_track():
         rho0=bloch_state(0.0, 0.0, 0.8))
     traj = run(cfg)
     wc = weak_coupling_sigma_rate(traj.states, cfg.hs, beta=1.0, dt=traj.dt)
-    ledger_rate = traj.ledger.rates("sigma")
+    ledger_rate = traj.ledger.sigma / traj.dt
     # late-time: ledger rate stays near beta * Q_dot, weak-coupling rate decays
     assert ledger_rate[-1] == pytest.approx(TANH_HALF, rel=0.05)
     assert abs(wc[-1]) < 0.05 * ledger_rate[-1]
