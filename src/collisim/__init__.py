@@ -2,7 +2,7 @@
 
 from .engine import (CollisionConfig, NoSteadyStateError, Trajectory,
                      propagate_collisions, run, steady_state_by_iteration)
-from .lindblad import build_generator, rate_matrix, steady_state_kernel, steady_state_of
+from .lindblad import build_generator, rate_matrix, steady_state_of
 from .linalg import clamp_to_density, exp_minus_i, kron, trace_distance
 from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,
                     bloch_state, build_interaction, collision_unitary,

@@ -147,19 +147,21 @@ def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
 
 
 def report_to_dict(rep: SteadyStateReport) -> dict:
+    """A one-point report as JSON values: floats, a bool, and null for a nan beta_eff."""
     # rho = [[p_e, (x - i y)/2], [(x + i y)/2, p_g]]; adding 0.0 writes no -0.0
     x, y, z = (rep.r_star + 0.0).tolist()
     pop_e, pop_g = (1 + z) / 2, (1 - z) / 2
+    beta_eff = float(rep.beta_eff)
     return {
         "method": rep.method,
         "rho_star": [[[pop_e, 0.0], [x / 2, (0.0 - y) / 2]], [[x / 2, y / 2], [pop_g, 0.0]]],
         "pop_e": pop_e,
         "pop_g": pop_g,
-        "beta_eff": rep.beta_eff,
-        "coherence_l1": rep.coherence_l1,
-        "ergotropy": rep.ergotropy,
-        "residual": rep.residual,
-        "degenerate": rep.degenerate,
+        "beta_eff": None if math.isnan(beta_eff) else beta_eff,
+        "coherence_l1": float(rep.coherence_l1),
+        "ergotropy": float(rep.ergotropy),
+        "residual": float(rep.residual),
+        "degenerate": bool(rep.degenerate),
     }
 
 
@@ -180,7 +182,7 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
         iter_rep = steady_state_by_iteration(collision)
         doc["iteration"] = report_to_dict(iter_rep)
     if kernel_rep is not None and iter_rep is not None:
-        doc["trace_distance"] = trace_distance(kernel_rep.r_star, iter_rep.r_star)
+        doc["trace_distance"] = float(trace_distance(kernel_rep.r_star, iter_rep.r_star))
     stem = os.path.splitext(os.path.basename(cfg.out_path))[0] or "steady"
     path = _out_path(out_dir, stem + "_steady.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -269,7 +271,7 @@ def _grid(*axes) -> list[np.ndarray]:
 
 
 def cmd_fig3(out_dir: str) -> list[str]:
-    """Effective-temperature curve and the four transient-current tables."""
+    """Effective-temperature curve and the four transient-current tables (one stacked run)."""
     paths = []
     beta, ratio = _grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
     rep = steady_state_of(diagonal_coupling(1.0, ratio, FIG_DT), QubitHamiltonian(1.0),
@@ -279,10 +281,9 @@ def cmd_fig3(out_dir: str) -> list[str]:
     write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], table, "csv")
     paths.append(path)
 
-    rho0 = pure_state(FIG3_THETA)
-    for ratio in FIG3_RATIOS:
-        coupling = diagonal_coupling(1.0, ratio, FIG_DT)
-        table = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
+    coupling = diagonal_coupling(1.0, np.array(FIG3_RATIOS), FIG_DT)
+    tables = trajectory_rows(_fig_run_config(coupling, 1.0, pure_state(FIG3_THETA)))
+    for ratio, table in zip(FIG3_RATIOS, tables.reshape(len(FIG3_RATIOS), -1)):
         path = _out_path(out_dir, f"fig3_traj_ratio_{ratio:+.2f}.csv")
         write_table(path, list(RUN_COLUMNS), table, "csv")
         paths.append(path)
@@ -290,7 +291,7 @@ def cmd_fig3(out_dir: str) -> list[str]:
 
 
 def cmd_fig5(out_dir: str) -> list[str]:
-    """Steady-state coherence vs alpha, and transient currents at beta = 1."""
+    """Steady-state coherence vs alpha, and transient currents at beta = 1 (one stacked run)."""
     paths = []
     rho0 = pure_state(FIG3_THETA)
     beta, alpha = _grid(FIG3_BETAS, FIG5_ALPHAS)
@@ -301,10 +302,11 @@ def cmd_fig5(out_dir: str) -> list[str]:
     write_table(path, ["beta", "alpha", "coherence_l1"], table, "csv")
     paths.append(path)
 
+    coupling = ssc_to_coupling(SscAngles(np.array(FIG5_PANEL_ALPHAS), FIG5_GAMMA, FIG5_MAGNITUDE),
+                               FIG_DT)
+    tables = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
     labels = ("0", "pi8", "pi4", "3pi8")
-    for alpha, label in zip(FIG5_PANEL_ALPHAS, labels):
-        coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
-        table = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
+    for label, table in zip(labels, tables.reshape(len(labels), -1)):
         path = _out_path(out_dir, f"fig5_traj_alpha_{label}.csv")
         write_table(path, list(RUN_COLUMNS), table, "csv")
         paths.append(path)

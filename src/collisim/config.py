@@ -207,7 +207,9 @@ def parse_run_config(doc: dict) -> RunConfig:
     out_format = out.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
-    quantities = tuple(out.get("quantities", RUN_COLUMNS))
+    quantities = out.get("quantities", list(RUN_COLUMNS))
+    if not isinstance(quantities, list) or not quantities:
+        raise ConfigError("output.quantities: expected a non-empty list of column names")
     for q in quantities:
         if q not in RUN_COLUMNS:
             raise ConfigError(f"output.quantities: unknown quantity {q!r}")
@@ -216,7 +218,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
         coupling=coupling, n_collisions=n_collisions, rho0=rho0, convergence_tol=tol)
     return RunConfig(collision=collision, out_path=out_path, out_format=out_format,
-                     quantities=quantities, raw=doc)
+                     quantities=tuple(quantities), raw=doc)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -263,7 +265,7 @@ def _set_path(doc: dict, path: str, value: Any) -> None:
 def parse_sweep_config(doc: dict) -> SweepConfig:
     if not isinstance(doc, dict):
         raise ConfigError("sweep root: expected an object")
-    _require_keys(doc, {"base", "axes", "parallel", "cap"}, {"base", "axes"}, "sweep")
+    _require_keys(doc, {"base", "axes", "cap"}, {"base", "axes"}, "sweep")
     base = doc["base"]
     parse_run_config(base)  # validate the base eagerly
     axes_doc = doc["axes"]
@@ -295,8 +297,6 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         _set_path(probe, ax["path"], values[0])
         parse_run_config(probe)
         axes.append(SweepAxis(path=ax["path"], values=values))
-    # validated because existing configs set it; it selects nothing
-    _positive_int(doc.get("parallel", 1), "sweep.parallel")
     cap = _positive_int(doc.get("cap", 10 ** 5), "sweep.cap")
     n_points = 1
     for axis in axes:

@@ -3,8 +3,8 @@
 Operators (Hamiltonians, unitaries) are plain complex numpy arrays in
 row-major storage. A qubit state is its real Bloch vector r, with
 rho = (I + r . sigma)/2: Hermiticity and unit trace hold by construction,
-and the eigenvalues of rho are (1 +- |r|)/2. The helpers that take states
-also take stacks (..., 3) of them; the ones here validate and repair them.
+and the eigenvalues of rho are (1 +- |r|)/2. Helpers on states take stacks
+(..., 3) and return arrays, 0-d for one state; these validate and repair them.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ class NotAStateError(ValueError):
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
     return a.conj().swapaxes(-1, -2)
-
-
-def per_state(x):
-    """A result over one state as a float, over a stack as an array."""
-    return float(x) if getattr(x, "ndim", 0) == 0 else x
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,7 +73,7 @@ def clamp_to_density(r: np.ndarray, what: str = "state") -> np.ndarray:
     return r
 
 
-def trace_distance(r: np.ndarray, s: np.ndarray) -> float:
-    """(1/2) ||rho - sigma||_1 of two states: half the distance of their Bloch vectors."""
+def trace_distance(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(1/2) ||rho - sigma||_1 of states (or stacks): half the distance of their Bloch vectors."""
     d = r - s
-    return per_state(np.sqrt((d * d).sum(axis=-1)) / 2)
+    return np.sqrt((d * d).sum(axis=-1)) / 2

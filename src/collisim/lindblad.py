@@ -109,22 +109,16 @@ def kernel_state(g: np.ndarray, r_ref: np.ndarray | None = None,
     return clamp_to_density(r), dim
 
 
-def steady_state_kernel(g: np.ndarray,
-                        hs: QubitHamiltonian | None = None) -> SteadyStateReport:
-    """Steady state from kernel_state of a generator's matrix g (or a stack).
+def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,
+                    ancilla: AncillaPrep) -> SteadyStateReport:
+    """Steady state of the coupling's generator (or of each of a stack), by kernel_state.
 
     A degenerate report holds the projection of the maximally mixed state onto
     the kernel: pick by iteration from a definite initial state instead.
     """
+    g = build_generator(coupling, hs, ancilla)
     r, dim = kernel_state(g)
     d = (g[..., 1:, 1:] @ r[..., None])[..., 0] + g[..., 1:, 0]
     # ||L(rho*)||_max: the largest entry of (d . sigma)/2
     residual = np.maximum(np.abs(d[..., 2]), np.hypot(d[..., 0], d[..., 1])) / 2
-    return make_report(r, hs or QubitHamiltonian(0.0), method="kernel",
-                       residual=residual, degenerate=dim > 1)
-
-
-def steady_state_of(coupling: CouplingSpec, hs: QubitHamiltonian,
-                    ancilla: AncillaPrep) -> SteadyStateReport:
-    """Convenience: build the generator and solve its kernel in one call."""
-    return steady_state_kernel(build_generator(coupling, hs, ancilla), hs)
+    return make_report(r, hs, method="kernel", residual=residual, degenerate=dim > 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, kron, per_state
+from .linalg import dagger, kron
 from .model import (PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
                     coupling_operator, density_matrix, free_hamiltonians)
 
@@ -65,9 +65,9 @@ def affine_functional(m: np.ndarray, r_a: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ij,...mji->...m", m, pairs).real
 
 
-def expectation(k: np.ndarray, r: np.ndarray):
-    """k0 + k . r for one state (a float) or stacks that broadcast (an array)."""
-    return per_state(k[..., 0] + np.einsum("...i,...i->...", k[..., 1:], r))
+def expectation(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """k0 + k . r for stacks of functionals and states that broadcast."""
+    return k[..., 0] + np.einsum("...i,...i->...", k[..., 1:], r)
 
 
 def change_functional(u: np.ndarray, x: np.ndarray, r_a: np.ndarray) -> np.ndarray:

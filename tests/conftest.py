@@ -134,9 +134,9 @@ def eigen_entropy(w: np.ndarray) -> np.ndarray:
     return -np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=-1)
 
 
-def entropy(rho: np.ndarray) -> float:
-    """Von Neumann entropy -Tr[rho ln rho] in nats, from the eigenvalues of rho."""
-    return float(eigen_entropy(np.linalg.eigvalsh(hermitize(rho))))
+def entropy(rho: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy -Tr[rho ln rho] in nats, from the eigenvalues (of each of a stack)."""
+    return eigen_entropy(np.linalg.eigvalsh(hermitize(rho)))
 
 
 def eigen_trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -168,32 +168,34 @@ def entry_l1_coherence(rho: np.ndarray) -> float:
 
 
 def _log_psd(rho: np.ndarray) -> np.ndarray:
-    """Matrix log on the support; eigenvalues off it are floored at 1e-300."""
+    """Matrix log on the support (of each of a stack); eigenvalues off it floored at 1e-300."""
     w, v = np.linalg.eigh(hermitize(rho))
-    return (v * np.log(np.clip(w, 1e-300, None))) @ dagger(v)
+    return (v * np.log(np.clip(w, 1e-300, None))[..., None, :]) @ dagger(v)
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D(rho || sigma) = Tr[rho (ln rho - ln sigma)], +inf on support mismatch."""
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """D(rho || sigma) = Tr[rho (ln rho - ln sigma)] of each pair of a stack; +inf on a
+    support mismatch."""
+    rho = hermitize(rho)
     ws, vs = np.linalg.eigh(hermitize(sigma))
-    # support check: rho must not populate the kernel of sigma
+    # support check, per pair: rho must not populate the kernel of sigma
     ker = np.abs(ws) <= 1e-14
-    if np.any(ker):
-        overlap = dagger(vs[:, ker]) @ hermitize(rho) @ vs[:, ker]
-        if np.max(np.abs(overlap)) > 1e-12:
-            return math.inf
-    return -entropy(rho) - float(np.trace(hermitize(rho) @ _log_psd(sigma)).real)
+    overlap = np.abs(dagger(vs) @ rho @ vs) * (ker[..., :, None] & ker[..., None, :])
+    mismatch = overlap.max(axis=(-2, -1)) > 1e-12
+    d = -entropy(rho) - np.trace(rho @ _log_psd(sigma), axis1=-2, axis2=-1).real
+    return np.where(mismatch, math.inf, d)
 
 
-def mutual_information(joint: np.ndarray, dims: tuple[int, int]) -> float:
-    """I(S:A) = S(rho_S) + S(rho_A) - S(rho_SA) >= 0."""
+def mutual_information(joint: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """I(S:A) = S(rho_S) + S(rho_A) - S(rho_SA) >= 0 (of each of a stack)."""
     return (entropy(partial_trace(joint, dims, "S")) + entropy(partial_trace(joint, dims, "A"))
             - entropy(joint))
 
 
 def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarray,
-                                 ancilla) -> tuple[float, dict]:
-    """Entropy production of one collision, with its two information forms.
+                                 ancilla) -> tuple[np.ndarray, dict]:
+    """Entropy production of one collision (or of each of a stack), with its two
+    information forms.
 
     Returns (sigma, checks): sigma = dS_sys + beta * Q from the joint state,
     and checks holds D(rho_SA' || rho_S' (x) rho_A^th) and
@@ -205,9 +207,9 @@ def entropy_production_collision(rho_s_before: np.ndarray, joint_after: np.ndarr
     rho_s_after = partial_trace(joint_after, (2, 2), "S")
     rho_a_after = partial_trace(joint_after, (2, 2), "A")
     ds = entropy(rho_s_after) - entropy(rho_s_before)
-    q = float(np.trace(ancilla.hamiltonian().matrix() @ (rho_a_after - rho_th)).real)
-    sigma = float(entropy_production(ds, q, ancilla.beta))
-    if math.isinf(ancilla.beta):
+    q = np.trace(ancilla.hamiltonian().matrix() @ (rho_a_after - rho_th), axis1=-2, axis2=-1).real
+    sigma = entropy_production(ds, q, ancilla.beta)
+    if np.isinf(ancilla.beta).any():
         return sigma, {"skipped": "infinite beta: relative entropy support mismatch"}
     return sigma, {
         "joint_relative_entropy": relative_entropy(joint_after, kron(rho_s_after, rho_th)),
@@ -225,7 +227,7 @@ def weak_coupling_sigma_rate(states, hs, beta: float, dt: float) -> np.ndarray:
     applying.
     """
     ref = density_matrix(gibbs_state(hs, beta))
-    return -np.gradient(np.array([relative_entropy(density_matrix(r), ref) for r in states]), dt)
+    return -np.gradient(relative_entropy(density_matrix(states), ref), dt)
 
 
 def coupling_to_ssc(spec) -> SscAngles:

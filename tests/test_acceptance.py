@@ -140,9 +140,9 @@ def test_criterion_5_first_law_identity():
 
 
 def test_criterion_6_entropy_production_forms():
+    # the samples of a per-sample loop, in its order, evaluated as one stack
     rng = np.random.default_rng(23456)
-    worst_sigma = math.inf
-    worst_dev = 0.0
+    samples = []
     for _ in range(1_000):
         j = np.zeros((3, 3))
         j[:, :2] = rng.uniform(-1.2, 1.2, (3, 2))
@@ -150,16 +150,15 @@ def test_criterion_6_entropy_production_forms():
             j[:, 2] = rng.uniform(-1.2, 1.2, 3)
         dt = 10 ** rng.uniform(-3, -1)
         beta = rng.uniform(-4.0, 4.0)
-        anc = AncillaPrep(beta=beta, omega_a=1.0)
-        coupling = CouplingSpec(j, dt=dt)
-        u = collision_unitary(HS, anc.hamiltonian(), build_interaction(coupling), dt)
-        rho_s = random_density(2, rng)
-        _, joint_after = collide_once(rho_s, density_matrix(anc.state), u)
-        sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
-        worst_sigma = min(worst_sigma, sigma)
-        worst_dev = max(worst_dev,
-                        abs(checks["joint_relative_entropy"] - sigma),
-                        abs(checks["mutual_information_form"] - sigma))
+        samples.append((j, dt, beta, random_density(2, rng)))
+    j, dt, beta, rho_s = map(np.array, zip(*samples))
+    anc = AncillaPrep(beta=beta, omega_a=1.0)
+    u = collision_unitary(HS, anc.hamiltonian(), build_interaction(CouplingSpec(j, dt=dt)), dt)
+    _, joint_after = collide_once(rho_s, density_matrix(anc.state), u)
+    sigma, checks = entropy_production_collision(rho_s, joint_after, anc)
+    worst_sigma = np.min(sigma)
+    worst_dev = max(np.max(np.abs(checks["joint_relative_entropy"] - sigma)),
+                    np.max(np.abs(checks["mutual_information_form"] - sigma)))
     ok = worst_sigma >= -1e-11 and worst_dev <= 1e-10
     report(6, ok, f"min sigma = {worst_sigma:.2e} (>=-1e-11), "
                   f"max |form deviation| = {worst_dev:.2e} (<=1e-10) over 10^3 samples")

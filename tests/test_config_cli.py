@@ -117,9 +117,7 @@ def test_sweep_cap_enforced():
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("parallel", 0, "sweep.parallel: expected a positive integer"),
-    ("parallel", 1.5, "sweep.parallel: expected a positive integer"),
-    ("parallel", True, "sweep.parallel: expected a positive integer"),
+    ("parallel", 1, "unknown key sweep.parallel"),
     ("cap", 0, "sweep.cap: expected a positive integer"),
     ("cap", "10", "sweep.cap: expected a positive integer"),
     ("cap", True, "sweep.cap: expected a positive integer"),
@@ -263,7 +261,7 @@ def test_cmd_run_quantities_subset(tmp_path):
     assert len(lines[1].split(",")) == 3
 
 
-@pytest.mark.parametrize("quantities", [["t", "n", "t"], []], ids=["repeated", "empty"])
+@pytest.mark.parametrize("quantities", [["t", "n", "t"]], ids=["repeated"])
 def test_cmd_run_writes_repeated_or_no_quantities(tmp_path, quantities):
     doc = base_doc()
     assert main(["run", "--config", write_config(tmp_path, doc, "full.json"),
@@ -279,6 +277,22 @@ def test_cmd_run_writes_repeated_or_no_quantities(tmp_path, quantities):
     for line, full_line in zip(lines[1:], full[1:]):
         cells = full_line.split(",")
         assert line == ",".join(cells[k] for k in idx)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("quantities", ["n", "pop_e", [], {"n": "t"}],
+                         ids=["n", "pop_e", "empty", "object"])
+def test_output_quantities_must_be_a_nonempty_list(tmp_path, capsys, quantities, command):
+    # a string is not split into one-letter columns, and [] writes no table of blank lines
+    doc = base_doc()
+    doc["output"]["quantities"] = quantities
+    if command == "sweep":
+        doc = {"base": doc, "axes": [{"path": "model.beta", "values": [1.0, 2.0]}]}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert ("output.quantities: expected a non-empty list of column names"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
 
 
 def test_cmd_run_json_format(tmp_path):

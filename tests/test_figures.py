@@ -1,11 +1,14 @@
 """Structural checks on the canned figure-data commands."""
 
 import csv
+import json
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
+
+from collisim.cli import main
 
 
 def read_csv(path):
@@ -88,3 +91,24 @@ def test_fig3_jx_only_cumulative_heat_slope(figure_outputs):
 def test_figure_commands_stay_in_time_budget(figure_outputs):
     for name, elapsed in figure_outputs["timings"].items():
         assert elapsed < 300.0, f"{name} took {elapsed:.0f}s"
+
+
+PANELS = [(f"fig3_traj_ratio_{ratio:+.2f}.csv", {"j": {"xx": 1.0, "yy": ratio}})
+          for ratio in (-0.5, 0.0, 0.5, 1.0)] + [
+          (f"fig5_traj_alpha_{label}.csv",
+           {"ssc": {"alpha": k * math.pi / 8, "gamma": math.atan(0.5),
+                    "magnitude": math.sqrt(1.25)}})
+          for k, label in enumerate(("0", "pi8", "pi4", "3pi8"))]
+
+
+@pytest.mark.parametrize("name, coupling", PANELS, ids=[name for name, _ in PANELS])
+def test_figure_panel_equals_the_run_of_its_preset(figure_outputs, tmp_path, name, coupling):
+    # the stacked panels of fig3 and fig5 against `run` at the documented preset
+    doc = {"model": {"omega_s": 1.0, "omega_a": 1.0, "beta": 1.0},
+           "coupling": dict(coupling, dt=0.05),
+           "run": {"n_collisions": 1000, "rho0": "fig3"},
+           "output": {"path": name}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / name).read_bytes() == (figure_outputs["dir"] / name).read_bytes()

@@ -52,7 +52,7 @@ def test_effective_beta_degenerate_hamiltonian_is_nan():
     assert np.all(np.isnan(effective_beta(np.array([MIXED, [0.0, 0.0, 1.0]]), 0.0)))
     rep = make_report(gibbs_state(HS, 1.0), QubitHamiltonian(0.0), method="kernel",
                       residual=0.0, degenerate=False)
-    assert rep.beta_eff is None
+    assert np.isnan(rep.beta_eff)
     # the trajectory table's column goes through the same function
     assert cli._safe_beta_eff is effective_beta
 
@@ -172,7 +172,7 @@ def test_inverted_ness_is_active():
 def test_report_suppresses_beta_eff_for_coherent_states():
     rho = pure_state(np.pi / 3)
     rep = make_report(rho, HS, method="kernel", residual=0.0, degenerate=False)
-    assert rep.beta_eff is None
+    assert np.isnan(rep.beta_eff)
     assert rep.coherence_l1 > 0.5
     rep2 = make_report(gibbs_state(HS, 1.0), HS, method="kernel",
                        residual=0.0, degenerate=False)
