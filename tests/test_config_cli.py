@@ -117,7 +117,10 @@ def test_sweep_cap_enforced():
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("parallel", 1, "unknown key sweep.parallel"),
+    ("parallel", 0, "sweep.parallel"),
+    ("parallel", 1.5, "sweep.parallel"),
+    ("parallel", True, "sweep.parallel"),
+    ("parallel", 1, "sweep.parallel"),
     ("cap", 0, "sweep.cap: expected a positive integer"),
     ("cap", "10", "sweep.cap: expected a positive integer"),
     ("cap", True, "sweep.cap: expected a positive integer"),
@@ -130,6 +133,9 @@ def test_sweep_parallel_and_cap_keys_validated_with_exit_2(tmp_path, capsys, key
         doc["axes"][0] = {"path": "model.beta", "start": 1.0, "stop": 2.0, "steps": value}
     else:
         doc[key] = value
+    if key == "parallel":
+        # the key is gone: every value, valid or not, is an unknown key
+        message = f"unknown key {message}"
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_sweep_config(doc)
     sweep_path = write_config(tmp_path, doc, "sweep.json")
