@@ -14,22 +14,22 @@ strings as they are. The column sets are frozen and documented in README.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from itertools import groupby, product
 
 import numpy as np
 
-from .config import (RUN_COLUMNS, ConfigError, RunConfig, SweepConfig,
+from .config import (RUN_COLUMNS, ConfigError, RunConfig, SweepConfig, cartesian_grid,
                      load_run_config, load_sweep_config, parse_run_config)
 from .engine import (CollisionConfig, NoSteadyStateError, propagate_collisions,
                      run, steady_state_by_iteration)
 from .lindblad import steady_state_of
 from .linalg import trace_distance
-from .model import (FIG3_THETA, AncillaPrep, CouplingSpec, QubitHamiltonian,
+from .model import (FIG3_THETA, AncillaPrep, QubitHamiltonian,
                     SscAngles, diagonal_coupling, pure_state, ssc_to_coupling)
 from .observables import SteadyStateReport, effective_beta, ergotropy, l1_coherence
 from .thermo import current_evaluators
@@ -194,34 +194,31 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
               out_format: str | None = None) -> tuple[str, int]:
     """Evaluate all sweep points as stacks of trajectories; rows in axis order.
 
-    Consecutive points of the same run.n_collisions run as one stack.
-    Failed points emit no data rows; they are recorded with their error in a
-    <output>_failures.json sidecar and make the command exit 3.
+    Each stack of points is parsed from one document and runs as one stack
+    of trajectories. Failed points emit no data rows; they are recorded with
+    their error in a <output>_failures.json sidecar and make the command exit 3.
     """
     base_cfg = parse_run_config(sweep.base)
     fmt_ = out_format or base_cfg.out_format
-    parsed = [_sweep_point_safe(doc) for doc in sweep.points()]
-    results: list = []
-    for _, group in groupby(parsed, key=lambda cfg: getattr(cfg, "n_collisions", None)):
-        group = list(group)
-        results += group if isinstance(group[0], str) else _stack_rows(group)
-
-    axis_paths = [ax.path for ax in sweep.axes]
-    failures = [{"point": i, "axes": dict(zip(axis_paths, axis_values)), "error": res}
-                for i, (axis_values, res) in enumerate(zip(
-                    product(*(ax.values for ax in sweep.axes)), results))
-                if isinstance(res, str)]
-    tables = [np.empty(0, RUN_DTYPE) if isinstance(res, str) else res for res in results]
-    merged = np.concatenate(tables)
+    grid = sweep.points()
+    results = [res for points in sweep.stacks(grid) for res in _stack_rows(sweep, grid, points)]
+    failures = [{"point": points.start, "error": res,
+                 "axes": {path: values[points.start] for path, values in zip(sweep.axes, grid)}}
+                for points, res in results if isinstance(res, str)]
+    tables = [res for _, res in results if not isinstance(res, str)]
+    merged = np.concatenate(tables) if tables else np.empty(0, RUN_DTYPE)
+    rows = np.zeros(len(grid[0]), int)      # of each point: none for a failed one
+    for points, res in results:
+        if not isinstance(res, str):
+            rows[points] = len(res) // (points.stop - points.start)
     # an axis column holds integers only if all its values are ints (of int64 range)
-    axes = (np.array(ax.values) for ax in sweep.axes)
-    grid = _grid(*(a.astype(float) if a.dtype == object else a for a in axes))
-    table = np.rec.fromarrays([np.repeat(g, [len(t) for t in tables]) for g in grid]
-                              + [merged[q] for q in base_cfg.quantities])
+    axes = (np.array(values.tolist()) for values in grid)
+    table = np.rec.fromarrays([np.repeat(a.astype(float) if a.dtype == object else a, rows)
+                               for a in axes] + [merged[q] for q in base_cfg.quantities])
 
     stem = os.path.splitext(os.path.basename(base_cfg.out_path))[0] or "sweep"
     path = _out_path(out_dir, stem + "_sweep." + ("csv" if fmt_ == "csv" else "json"))
-    write_table(path, axis_paths + list(base_cfg.quantities), table, fmt_)
+    write_table(path, list(sweep.axes) + list(base_cfg.quantities), table, fmt_)
     if failures:
         fail_path = _out_path(out_dir, stem + "_sweep_failures.json")
         with open(fail_path, "w", encoding="utf-8") as fh:
@@ -230,32 +227,24 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
     return path, (EXIT_NUMERICAL if failures else EXIT_OK)
 
 
-def _sweep_point_safe(doc: dict):
-    """The collision config of one sweep point, or its error as a string."""
+def _sweep_point_safe(doc: dict) -> CollisionConfig:
+    """The stacked collision config of a sweep's stack document."""
+    return parse_run_config(doc).collision
+
+
+def _stack_rows(sweep: SweepConfig, grid: list[np.ndarray], points: slice) -> list:
+    """[(points, the stack's trajectory table)]. A stack that fails, by config error or
+    in the numerics, runs each point as a stack of one; a failing point gives its error."""
     try:
-        return parse_run_config(doc).collision
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _stack_rows(cfgs: list[CollisionConfig]) -> list:
-    """The trajectory table of each point of a stack, or the error of a point.
-
-    The points share n_collisions; every other field is stacked. When the
-    stack fails, its points run alone, so that only the failing ones are lost.
-    """
-    omega_s, beta, omega_a, j, dt, rho0 = (np.array(x) for x in zip(*(
-        (c.hs.omega, c.ancilla.beta, c.ancilla.omega_a, c.coupling.j, c.coupling.dt, c.rho0)
-        for c in cfgs)))
-    try:
-        table = trajectory_rows(CollisionConfig(
-            hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta, omega_a),
-            coupling=CouplingSpec(j, dt), n_collisions=cfgs[0].n_collisions, rho0=rho0))
+        cfg = _sweep_point_safe(sweep.stack_document(grid, points))
+        # rho0 carries the stack axis, also where only run.n_collisions is an axis
+        rho0 = np.broadcast_to(cfg.rho0, (points.stop - points.start, 3))
+        return [(points, trajectory_rows(dataclasses.replace(cfg, rho0=rho0)))]
     except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
-        if len(cfgs) == 1:
-            return [f"{type(exc).__name__}: {exc}"]
-        return [res for c in cfgs for res in _stack_rows([c])]
-    return list(table.reshape(len(cfgs), -1))
+        if points.stop - points.start == 1:
+            return [(points, f"{type(exc).__name__}: {exc}")]
+    return [res for k in range(points.start, points.stop)
+            for res in _stack_rows(sweep, grid, slice(k, k + 1))]
 
 
 def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
@@ -265,15 +254,10 @@ def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
         coupling=coupling, n_collisions=FIG_N, rho0=rho0)
 
 
-def _grid(*axes) -> list[np.ndarray]:
-    """Flattened cartesian grid with the first axis slowest (the row order)."""
-    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-
-
 def cmd_fig3(out_dir: str) -> list[str]:
     """Effective-temperature curve and the four transient-current tables (one stacked run)."""
     paths = []
-    beta, ratio = _grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
+    beta, ratio = cartesian_grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
     rep = steady_state_of(diagonal_coupling(1.0, ratio, FIG_DT), QubitHamiltonian(1.0),
                           AncillaPrep(beta=beta, omega_a=1.0))
     table = np.rec.fromarrays([beta, ratio, rep.beta_eff, rep.beta_eff / beta])
@@ -294,7 +278,7 @@ def cmd_fig5(out_dir: str) -> list[str]:
     """Steady-state coherence vs alpha, and transient currents at beta = 1 (one stacked run)."""
     paths = []
     rho0 = pure_state(FIG3_THETA)
-    beta, alpha = _grid(FIG3_BETAS, FIG5_ALPHAS)
+    beta, alpha = cartesian_grid(FIG3_BETAS, FIG5_ALPHAS)
     coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
     coherence = l1_coherence(propagate_collisions(_fig_run_config(coupling, beta, rho0), FIG_N))
     table = np.rec.fromarrays([beta, alpha, coherence])
@@ -318,7 +302,7 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     names = np.array(["ground", "excited"])
     # one initial state per leading index, broadcast against the coupling grid
     rho0 = np.array([pure_state(math.pi / 2), pure_state(0.0)])[:, None]
-    alpha, gamma = _grid(ERGO_ALPHAS, ERGO_GAMMAS)
+    alpha, gamma = cartesian_grid(ERGO_ALPHAS, ERGO_GAMMAS)
     coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
     ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), 1.0)
     table = np.rec.fromarrays([np.tile(alpha, len(names)), np.tile(gamma, len(names)),
@@ -331,7 +315,7 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     coupling = ssc_to_coupling(SscAngles(np.array(ERGO_ALPHAS), 0.0, ERGO_MAGNITUDE), FIG_DT)
     cfg = _fig_run_config(coupling, np.array(FIG3_BETAS)[:, None, None], rho0)
     ergo = ergotropy(propagate_collisions(cfg, FIG_N), 1.0)
-    beta, name, alpha = _grid(FIG3_BETAS, names, ERGO_ALPHAS)
+    beta, name, alpha = cartesian_grid(FIG3_BETAS, names, ERGO_ALPHAS)
     table = np.rec.fromarrays([beta, alpha, name, ergo.ravel()])
     path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
     write_table(path, ["beta", "alpha", "rho0", "ergotropy"], table, "csv")
@@ -387,31 +371,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out_dir = resolve_out_dir(args.out)
+        code = EXIT_OK
         if args.command == "run":
-            path = cmd_run(load_run_config(args.config), out_dir, args.format)
-            print(path)
-            return EXIT_OK
-        if args.command == "steady":
-            path = cmd_steady(load_run_config(args.config), args.method, out_dir)
-            print(path)
-            return EXIT_OK
-        if args.command == "sweep":
+            paths = [cmd_run(load_run_config(args.config), out_dir, args.format)]
+        elif args.command == "steady":
+            paths = [cmd_steady(load_run_config(args.config), args.method, out_dir)]
+        elif args.command == "sweep":
             path, code = cmd_sweep(load_sweep_config(args.config), out_dir, args.format)
+            paths = [path]
+        else:
+            paths = {"fig3": cmd_fig3, "fig5": cmd_fig5,
+                     "ergotropy-surface": cmd_ergotropy_surface}[args.command](out_dir)
+        for path in paths:
             print(path)
-            return code
-        if args.command == "fig3":
-            for path in cmd_fig3(out_dir):
-                print(path)
-            return EXIT_OK
-        if args.command == "fig5":
-            for path in cmd_fig5(out_dir):
-                print(path)
-            return EXIT_OK
-        if args.command == "ergotropy-surface":
-            for path in cmd_ergotropy_surface(out_dir):
-                print(path)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command}")
+        return code
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

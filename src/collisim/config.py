@@ -22,6 +22,10 @@ sigma_l sigma_m / sqrt(dt); "scaling" is optional and accepts only
 "sqrt_dt" ("none" is rejected: its H_SA is that of j * sqrt(dt)).
 "beta" accepts numbers or "inf"/"-inf".
 Unknown keys anywhere are rejected with the offending key path.
+
+A sweep parses one document per stack of points: its axis leaves hold
+numpy arrays of the points' values, and its checks fail if any point
+fails them. Array leaves are internal; the JSON grammar is unchanged.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -
 
 
 def _number(value: Any, path: str, allow_inf: bool = False) -> float:
+    if isinstance(value, np.ndarray):
+        return value.astype(float)   # a sweep's axis leaf: parse_sweep_config checked each value
     if isinstance(value, str) and allow_inf:
         if value in ("inf", "+inf"):
             return math.inf
@@ -82,6 +88,10 @@ def _number(value: Any, path: str, allow_inf: bool = False) -> float:
     if not allow_inf and not math.isfinite(v):
         raise ConfigError(f"{path}: must be finite")
     return v
+
+
+def _any(fails) -> bool:     # whether a check fails at the point, or at any point of a stack
+    return fails if isinstance(fails, bool) else bool(fails.any())
 
 
 def _positive_int(value: Any, path: str) -> int:
@@ -135,7 +145,7 @@ def _parse_coupling(obj: Any, path: str) -> CouplingSpec:
         raise ConfigError(f"{path}: expected an object")
     _require_keys(obj, {"j", "ssc", "dt", "scaling"}, {"dt"}, path)
     dt = _number(obj["dt"], f"{path}.dt")
-    if dt <= 0:
+    if _any(dt <= 0):
         raise ConfigError(f"{path}.dt: must be positive")
     if obj.get("scaling", "sqrt_dt") != "sqrt_dt":
         raise ConfigError(f"{path}.scaling: must be 'sqrt_dt', the only coupling scale;"
@@ -146,12 +156,14 @@ def _parse_coupling(obj: Any, path: str) -> CouplingSpec:
         jd = obj["j"]
         if not isinstance(jd, dict):
             raise ConfigError(f"{path}.j: expected an object of Pauli-pair keys")
-        j = np.zeros((3, 3))
+        entries = {}
         for key, value in jd.items():
             if key not in PAULI_PAIRS:
                 raise ConfigError(f"unknown key {path}.j.{key}")
-            l, m = "xyz".index(key[0]), "xyz".index(key[1])
-            j[l, m] = _number(value, f"{path}.j.{key}")
+            entries["xyz".index(key[0]), "xyz".index(key[1])] = _number(value, f"{path}.j.{key}")
+        j = np.zeros(np.broadcast(*entries.values()).shape + (3, 3))
+        for (l, m), value in entries.items():
+            j[..., l, m] = value
         return CouplingSpec(j, dt)
     sd = obj["ssc"]
     if not isinstance(sd, dict):
@@ -180,7 +192,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     omega_s = _number(model["omega_s"], "model.omega_s")
     omega_a = _number(model["omega_a"], "model.omega_a")
     beta = _number(model["beta"], "model.beta", allow_inf=True)
-    if omega_a == 0 and math.isinf(beta):
+    if _any((omega_a == 0) & (abs(beta) == math.inf)):
         raise ConfigError("model.beta: +-inf needs omega_a != 0 (no zero-temperature state)")
 
     coupling = _parse_coupling(doc["coupling"], "coupling")
@@ -194,7 +206,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     rho0 = _parse_rho0(rn["rho0"], "run.rho0")
     tol = _number(rn.get("convergence_tol", CollisionConfig.convergence_tol),
                   "run.convergence_tol")
-    if tol <= 0:
+    if _any(tol <= 0):
         raise ConfigError("run.convergence_tol: must be positive")
 
     out = doc.get("output", {})
@@ -221,35 +233,47 @@ def parse_run_config(doc: dict) -> RunConfig:
                      quantities=tuple(quantities), raw=doc)
 
 
-def load_run_config(path: str) -> RunConfig:
+def _read(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_run_config(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    path: str
-    values: tuple[float | int, ...]
+def load_run_config(path: str) -> RunConfig:
+    return parse_run_config(_read(path, "config"))
+
+
+def cartesian_grid(*axes) -> list[np.ndarray]:
+    """Flattened cartesian grid, the first axis slowest: the row order of sweeps and figures."""
+    return [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     base: dict
-    axes: tuple[SweepAxis, ...]
+    axes: dict[str, tuple[float | int, ...]]     # path -> values, the first axis slowest
 
-    def points(self) -> list[dict]:
-        """Cartesian product, the first axis slowest; each point is a config document."""
-        points = []
-        for values in itertools.product(*(axis.values for axis in self.axes)):
-            doc = copy.deepcopy(self.base)
-            for axis, value in zip(self.axes, values):
-                _set_path(doc, axis.path, value)
-            points.append(doc)
-        return points
+    def points(self) -> list[np.ndarray]:
+        """The grid of the axes' raw values: per axis, an object array over the points."""
+        return cartesian_grid(*(np.array(values, dtype=object) for values in self.axes.values()))
+
+    def stacks(self, grid: list[np.ndarray]) -> list[slice]:
+        """Maximal runs of points that share the raw run.n_collisions (5.0 is not 5)."""
+        n = dict(zip(self.axes, grid)).get("run.n_collisions", [None] * len(grid[0]))
+        bounds = [0, *itertools.accumulate(
+            len(list(run)) for _, run in itertools.groupby(n, lambda v: (type(v), v)))]
+        return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+    def stack_document(self, grid: list[np.ndarray], points: slice) -> dict:
+        """The base with each axis leaf set to its values at the points of a
+        stack; run.n_collisions, which they share, to its one raw value."""
+        doc = copy.deepcopy(self.base)
+        for path, values in zip(self.axes, grid):
+            values = values[points]
+            _set_path(doc, path, values[0] if path == "run.n_collisions" else values)
+        return doc
 
 
 def _set_path(doc: dict, path: str, value: Any) -> None:
@@ -271,7 +295,7 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
     axes_doc = doc["axes"]
     if not isinstance(axes_doc, list) or not axes_doc:
         raise ConfigError("sweep.axes: expected a non-empty list")
-    axes = []
+    axes: dict = {}
     for i, ax in enumerate(axes_doc):
         path = f"sweep.axes[{i}]"
         if not isinstance(ax, dict):
@@ -279,6 +303,10 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         _require_keys(ax, {"path", "values", "start", "stop", "steps"}, {"path"}, path)
         if not isinstance(ax["path"], str):
             raise ConfigError(f"{path}.path: expected a string")
+        if ax["path"] in axes:
+            raise ConfigError(f"{path}.path: {ax['path']} is already an axis")
+        if ("values" in ax) == any(key in ax for key in ("start", "stop", "steps")):
+            raise ConfigError(f"{path}: give exactly one of 'values' or 'start'/'stop'/'steps'")
         if "values" in ax:
             if not isinstance(ax["values"], list) or not ax["values"]:
                 raise ConfigError(f"{path}.values: expected a non-empty list")
@@ -296,20 +324,13 @@ def parse_sweep_config(doc: dict) -> SweepConfig:
         probe = copy.deepcopy(base)
         _set_path(probe, ax["path"], values[0])
         parse_run_config(probe)
-        axes.append(SweepAxis(path=ax["path"], values=values))
+        axes[ax["path"]] = values
     cap = _positive_int(doc.get("cap", 10 ** 5), "sweep.cap")
-    n_points = 1
-    for axis in axes:
-        n_points *= len(axis.values)
+    n_points = math.prod(len(values) for values in axes.values())
     if n_points > cap:
         raise ConfigError(f"sweep: {n_points} points exceed the cap {cap}")
-    return SweepConfig(base=base, axes=tuple(axes))
+    return SweepConfig(base=base, axes=axes)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read sweep config {path}: {exc}") from exc
-    return parse_sweep_config(doc)
+    return parse_sweep_config(_read(path, "sweep config"))

@@ -56,7 +56,7 @@ class CollisionConfig:
     def __post_init__(self):
         if self.n_collisions < 1:
             raise ValueError("n_collisions must be >= 1")
-        if not self.convergence_tol > 0:
+        if not np.asarray(self.convergence_tol > 0).all():
             raise ValueError("convergence_tol must be positive")
         if self.rho0.shape[-1:] != (3,):
             raise ValueError("rho0 must be a Bloch vector")

@@ -203,9 +203,12 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
 
 
 def pure_state(theta: float, phi: float = 0.0) -> np.ndarray:
-    """Bloch vector of |psi> = cos(theta)|e> + e^{i phi} sin(theta)|g>."""
-    s = math.sin(2 * theta)
-    return np.array([s * math.cos(phi), s * math.sin(phi), math.cos(2 * theta)])
+    """Bloch vector of |psi> = cos(theta)|e> + e^{i phi} sin(theta)|g>, or a stack of
+    them, each by math's sin and cos as alone: numpy's can round the last bit differently."""
+    sin, cos = np.frompyfunc(math.sin, 1, 1), np.frompyfunc(math.cos, 1, 1)
+    s = sin(2 * theta)
+    r = np.broadcast_arrays(s * cos(phi), s * sin(phi), cos(2 * theta))
+    return np.stack(r, axis=-1).astype(float)
 
 
 def density_matrix(r: np.ndarray) -> np.ndarray:

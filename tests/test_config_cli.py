@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collisim
-from collisim.cli import WRITE_BATCH, main, write_table
+from collisim.cli import WRITE_BATCH, cmd_sweep, main, write_table
 from collisim.config import (RUN_COLUMNS, ConfigError, parse_run_config,
                              parse_sweep_config)
 
@@ -143,22 +144,25 @@ def test_sweep_parallel_and_cap_keys_validated_with_exit_2(tmp_path, capsys, key
     assert message in capsys.readouterr().err
 
 
-def test_sweep_points_cartesian_order():
+def test_sweep_points_cartesian_order(tmp_path):
     doc = {"base": base_doc(),
            "axes": [{"path": "model.beta", "values": [1.0, 2.0]},
                     {"path": "coupling.j.yy", "values": [0.0, 0.5, 1.0]},
                     {"path": "run.n_collisions", "values": [3, 4]}]}
     sweep = parse_sweep_config(doc)
-    points = sweep.points()
-    assert len(points) == 12
+    grid = sweep.points()
+    assert [len(axis) for axis in grid] == [12] * 3
     # the first axis slowest, the order of the axis columns and failure indices
-    assert [p["model"]["beta"] for p in points] == [1.0] * 6 + [2.0] * 6
-    assert [p["coupling"]["j"]["yy"] for p in points] == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0] * 2
-    assert [p["run"]["n_collisions"] for p in points] == [3, 4] * 6
-    # every point is its own copy of the base, which stays as it was
-    points[0]["coupling"]["j"]["xx"] = 7.0
-    assert points[1]["coupling"]["j"]["xx"] == doc["base"]["coupling"]["j"]["xx"] == 1.0
-    assert all(p["output"] == doc["base"]["output"] for p in points)
+    beta, j_yy, n = (axis.tolist() for axis in grid)
+    assert beta == [1.0] * 6 + [2.0] * 6
+    assert j_yy == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0] * 2
+    assert n == [3, 4] * 6
+    # n is the fastest axis, so every stack holds one point
+    assert sweep.stacks(grid) == [slice(k, k + 1) for k in range(12)]
+    # a sweep patches copies of the base, which stays as it was
+    base = copy.deepcopy(doc["base"])
+    assert cmd_sweep(sweep, str(tmp_path))[1] == 0
+    assert sweep.base == doc["base"] == base
 
 
 # ---------------------------------------------------------------- run + CLI

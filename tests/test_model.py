@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,28 @@ def test_pure_state_fig3_angle():
     assert matrices_close(rho, np.outer(ket, ket.conj()), 1e-15)
     assert rho[0, 0].real == pytest.approx(np.cos(theta) ** 2)
     assert np.trace(rho @ rho).real == pytest.approx(1.0)
+
+
+def test_pure_state_stack_matches_each_state_bit_for_bit():
+    # a sweep axis on run.rho0.theta or phi is one stacked pure_state: each of
+    # its states must be the standalone one exactly, by math's sin and cos
+    rng = np.random.default_rng(5)
+    theta = np.r_[rng.uniform(-10.0, 10.0, 400), 0.0, -0.0, np.pi / 2, 15 * np.pi / 16, 1e-300]
+    phi = rng.uniform(-10.0, 10.0, theta.size)
+
+    def alone(t, p):
+        s = math.sin(2 * t)
+        single = pure_state(float(t), float(p))
+        assert single.tobytes() == np.array(
+            [s * math.cos(p), s * math.sin(p), math.cos(2 * t)]).tobytes()
+        return single
+
+    for t, p in ((theta, phi), (theta[:, None], phi[:3]), (0.3, phi), (theta, 0.0)):
+        stack = pure_state(t, p)
+        t, p = np.broadcast_arrays(t, p)
+        assert stack.shape == t.shape + (3,)
+        expected = np.array([alone(a, b) for a, b in zip(t.ravel(), p.ravel())])
+        assert stack.reshape(-1, 3).tobytes() == expected.tobytes()
 
 
 def test_coupling_spec_validation():
