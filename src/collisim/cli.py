@@ -194,23 +194,25 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
               out_format: str | None = None) -> tuple[str, int]:
     """Evaluate all sweep points as stacks of trajectories; rows in axis order.
 
-    Each stack of points is parsed from one document and runs as one stack
-    of trajectories. Failed points emit no data rows; they are recorded with
-    their error in a <output>_failures.json sidecar and make the command exit 3.
+    The points of one run.n_collisions are parsed from one document and run as
+    one stack of trajectories. Failed points emit no data rows; they are recorded
+    with their error in a <output>_failures.json sidecar and make the command exit 3.
     """
     base_cfg = parse_run_config(sweep.base)
     fmt_ = out_format or base_cfg.out_format
     grid = sweep.points()
     results = [res for points in sweep.stacks(grid) for res in _stack_rows(sweep, grid, points)]
-    failures = [{"point": points.start, "error": res,
-                 "axes": {path: values[points.start] for path, values in zip(sweep.axes, grid)}}
+    results.sort(key=lambda res: res[0][0])     # a failed point comes alone: in point order
+    failures = [{"point": int(points[0]), "error": res,
+                 "axes": {path: values[points[0]] for path, values in zip(sweep.axes, grid)}}
                 for points, res in results if isinstance(res, str)]
-    tables = [res for _, res in results if not isinstance(res, str)]
-    merged = np.concatenate(tables) if tables else np.empty(0, RUN_DTYPE)
-    rows = np.zeros(len(grid[0]), int)      # of each point: none for a failed one
-    for points, res in results:
-        if not isinstance(res, str):
-            rows[points] = len(res) // (points.stop - points.start)
+    tables = [(points, res) for points, res in results if not isinstance(res, str)]
+    # each row's point (a point's rows follow one another): one gather puts them in order
+    point = np.concatenate([np.empty(0, int)]
+                           + [np.repeat(p, len(t) // len(p)) for p, t in tables])
+    merged = np.concatenate([np.empty(0, RUN_DTYPE)] + [t for _, t in tables])[
+        np.argsort(point, kind="stable")]
+    rows = np.bincount(point, minlength=len(grid[0]))     # of each point: none for a failed one
     # an axis column holds integers only if all its values are ints (of int64 range)
     axes = (np.array(values.tolist()) for values in grid)
     table = np.rec.fromarrays([np.repeat(a.astype(float) if a.dtype == object else a, rows)
@@ -232,19 +234,18 @@ def _sweep_point_safe(doc: dict) -> CollisionConfig:
     return parse_run_config(doc).collision
 
 
-def _stack_rows(sweep: SweepConfig, grid: list[np.ndarray], points: slice) -> list:
+def _stack_rows(sweep: SweepConfig, grid: list[np.ndarray], points: np.ndarray) -> list:
     """[(points, the stack's trajectory table)]. A stack that fails, by config error or
     in the numerics, runs each point as a stack of one; a failing point gives its error."""
     try:
         cfg = _sweep_point_safe(sweep.stack_document(grid, points))
         # rho0 carries the stack axis, also where only run.n_collisions is an axis
-        rho0 = np.broadcast_to(cfg.rho0, (points.stop - points.start, 3))
+        rho0 = np.broadcast_to(cfg.rho0, (len(points), 3))
         return [(points, trajectory_rows(dataclasses.replace(cfg, rho0=rho0)))]
     except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
-        if points.stop - points.start == 1:
+        if len(points) == 1:
             return [(points, f"{type(exc).__name__}: {exc}")]
-    return [res for k in range(points.start, points.stop)
-            for res in _stack_rows(sweep, grid, slice(k, k + 1))]
+    return [res for point in points[:, None] for res in _stack_rows(sweep, grid, point)]
 
 
 def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:

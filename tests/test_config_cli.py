@@ -87,6 +87,35 @@ def test_ssc_coupling_in_config():
     assert cfg.collision.coupling.j[1, 1] == pytest.approx(1.0)
 
 
+def test_ssc_leaf_error_names_its_path_once():
+    doc = base_doc()
+    doc["coupling"] = {"ssc": {"alpha": "a", "gamma": 0.0}, "dt": 0.05}
+    with pytest.raises(ConfigError) as caught:
+        parse_run_config(doc)
+    assert str(caught.value) == "coupling.ssc.alpha: expected a number, got 'a'"
+
+
+def test_missing_key_message_does_not_depend_on_the_hash_seed():
+    # a document that lacks several keys names the first in table order; these
+    # seeds named three different keys when the keys were checked as a set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(collisim.__file__)))
+    code = ("import json, sys\n"
+            "from collisim.config import ConfigError, parse_run_config, parse_sweep_config\n"
+            "for parse, doc in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        (parse_sweep_config if parse == 'sweep' else parse_run_config)(doc)\n"
+            "    except ConfigError as exc:\n"
+            "        print(exc)\n")
+    docs = json.dumps([("run", base_doc(model={})), ("run", {}), ("sweep", {})])
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code, docs], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.splitlines() == [
+            "missing key model.omega_s", "missing key config.model", "missing key sweep.base"]
+
+
 def test_coupling_requires_exactly_one_spec():
     doc = base_doc()
     doc["coupling"] = {"j": {"xx": 1.0}, "ssc": {"alpha": 0, "gamma": 0},
@@ -157,8 +186,9 @@ def test_sweep_points_cartesian_order(tmp_path):
     assert beta == [1.0] * 6 + [2.0] * 6
     assert j_yy == [0.0, 0.0, 0.5, 0.5, 1.0, 1.0] * 2
     assert n == [3, 4] * 6
-    # n is the fastest axis, so every stack holds one point
-    assert sweep.stacks(grid) == [slice(k, k + 1) for k in range(12)]
+    # n is the fastest axis, yet the points of each n make one stack
+    assert [points.tolist() for points in sweep.stacks(grid)] == [
+        list(range(0, 12, 2)), list(range(1, 12, 2))]
     # a sweep patches copies of the base, which stays as it was
     base = copy.deepcopy(doc["base"])
     assert cmd_sweep(sweep, str(tmp_path))[1] == 0
@@ -404,6 +434,20 @@ def test_coupling_overflow_is_a_numerical_failure(tmp_path, capsys, command):
         assert caught == [], j_xx
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, j_xx
+
+
+@pytest.mark.parametrize("command", ["run", "steady", "sweep"])
+def test_nan_beta_exits_2(tmp_path, capsys, command):
+    # JSON NaN is a number to json.load; like every other leaf, beta must not be one
+    doc = base_doc(model={"omega_s": 1.0, "omega_a": 1.0, "beta": math.nan})
+    if command == "sweep":
+        doc = {"base": doc, "axes": [{"path": "model.omega_s", "values": [1.0, 2.0]}]}
+    cfg_path = write_config(tmp_path, doc)
+    assert "NaN" in (tmp_path / "cfg.json").read_text()
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: model.beta: must be finite\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("beta", ["inf", "-inf"])

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import collisim.cli as cli
+import collisim.config as config
 from collisim.cli import main
 from collisim.config import parse_run_config
 
@@ -113,6 +114,7 @@ def test_ambiguous_axes_exit_2(tmp_path, capsys, axes, message):
 
 
 HUGE_N = 10 ** 15   # np.empty of this many collisions fails at once, without allocating
+BETAS = [0.5, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("n_values, parses, failed", [
@@ -121,6 +123,9 @@ HUGE_N = 10 ** 15   # np.empty of this many collisions fails at once, without al
     # the failing stack alone is parsed again, once per point
     ([3, HUGE_N], 1 + 2 + 3, [3, 4, 5]),     # in the numerics
     ([3, 2.5], 1 + 2 + 3, [3, 4, 5]),        # by config error
+    # a dict gives every axis in order: with run.n_collisions fastest, one stack per value
+    ({"model.beta": BETAS, "run.n_collisions": [3, 4]}, 1 + 2, []),
+    ({"model.beta": BETAS, "run.n_collisions": [3, 2.5]}, 1 + 2 + 3, [1, 3, 5]),
 ])
 def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, failed):
     calls = []
@@ -129,13 +134,31 @@ def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, fa
         calls.append(doc)
         return parse_run_config(doc)
     monkeypatch.setattr(cli, "parse_run_config", counted)
+    axes = n_values if isinstance(n_values, dict) else {
+        "run.n_collisions": n_values, "model.beta": BETAS}
     sweep_path = tmp_path / "sweep.json"
     sweep_path.write_text(json.dumps({"base": BASE, "axes": [
-        {"path": "run.n_collisions", "values": n_values},
-        {"path": "model.beta", "values": [0.5, 1.0, 2.0]}]}))
+        {"path": path, "values": values} for path, values in axes.items()]}))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep_path), "--out", str(out)]) == (3 if failed else 0)
     assert len(calls) == parses
     if failed:
         failures = json.loads((out / "out_sweep_failures.json").read_text())
         assert [f["point"] for f in failures] == failed
+
+
+@pytest.mark.parametrize("n_axes", [1, 3])
+def test_loading_a_sweep_parses_the_base_and_its_first_point(monkeypatch, n_axes):
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return parse_run_config(doc)
+    monkeypatch.setattr(config, "parse_run_config", counted)
+    axes = {"model.beta": BETAS, "coupling.j.yy": [0.0, 1.0], "run.n_collisions": [3, 4]}
+    sweep = config.parse_sweep_config({"base": BASE, "axes": [
+        {"path": path, "values": values} for path, values in list(axes.items())[:n_axes]]})
+    assert calls[0] is sweep.base
+    # the probe: the base at the first grid point
+    assert len(calls) == 2 and calls[1] == _point_doc(
+        BASE, list(sweep.axes), [values[0] for values in sweep.axes.values()])
