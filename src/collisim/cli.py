@@ -207,12 +207,15 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
                  "axes": {path: values[points[0]] for path, values in zip(sweep.axes, grid)}}
                 for points, res in results if isinstance(res, str)]
     tables = [(points, res) for points, res in results if not isinstance(res, str)]
-    # each row's point (a point's rows follow one another): one gather puts them in order
-    point = np.concatenate([np.empty(0, int)]
-                           + [np.repeat(p, len(t) // len(p)) for p, t in tables])
-    merged = np.concatenate([np.empty(0, RUN_DTYPE)] + [t for _, t in tables])[
-        np.argsort(point, kind="stable")]
-    rows = np.bincount(point, minlength=len(grid[0]))     # of each point: none for a failed one
+    rows = np.zeros(len(grid[0]), int)      # of each point: none for a failed one
+    for points, res in tables:
+        rows[points] = len(res) // len(points)
+    if len(tables) == 1:    # its points ascend and a failed point has no rows: grid order
+        merged = tables[0][1]
+    else:   # a point's rows follow one another in its stack's table: copy them to their place
+        merged, first_row = np.empty(rows.sum(), RUN_DTYPE), np.cumsum(rows) - rows
+        for points, res in tables:
+            merged[(first_row[points, None] + np.arange(rows[points[0]])).ravel()] = res
     # an axis column holds integers only if all its values are ints (of int64 range)
     axes = (np.array(values.tolist()) for values in grid)
     table = np.rec.fromarrays([np.repeat(a.astype(float) if a.dtype == object else a, rows)

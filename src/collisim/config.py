@@ -63,9 +63,6 @@ def _number(value: Any, path: str, allow_inf: bool = False) -> float:
     return v
 
 
-_number_or_inf = functools.partial(_number, allow_inf=True)
-
-
 def _any(fails) -> bool:     # whether a check fails at the point, or at any point of a stack
     return fails if isinstance(fails, bool) else bool(fails.any())
 
@@ -86,6 +83,7 @@ def _check(test, message: str):
     return kind
 
 
+_number_or_inf = functools.partial(_number, allow_inf=True)
 _positive_int = _check(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
                        "expected a positive integer")
 _string = _check(lambda v: isinstance(v, str), "expected a string")
@@ -145,8 +143,7 @@ def _state(spec: Any, path: str) -> np.ndarray:
     if "bloch" in spec:
         return _walk(BLOCH_FORM, spec, path)["bloch"]
     if "theta" in spec:
-        angles = _walk(ANGLE_FORM, spec, path)
-        return pure_state(angles["theta"], angles["phi"])
+        return pure_state(**_walk(ANGLE_FORM, spec, path))
     raise ConfigError(f"{path}: expected a named state, bloch vector, or angles")
 
 
@@ -179,8 +176,8 @@ def _axes(value: Any, path: str) -> dict[str, tuple]:
 
 
 # The grammar: each key maps to (leaf kind or sub-table, default). REQUIRED
-# marks a key without a default and None an optional key without one; any
-# other default is parsed as if it were given.
+# marks a key without a default and None an optional key without one; a
+# leaf's default is its parsed value, and a sub-table's default is walked.
 
 REQUIRED = object()
 
@@ -198,7 +195,7 @@ RUN = {
     "run": ({"n_collisions": (_positive_int, REQUIRED), "rho0": (_state, REQUIRED),
              "convergence_tol": (_positive_number, CollisionConfig.convergence_tol)}, REQUIRED),
     "output": ({"path": (_nonempty_string, "run.csv"), "format": (_format, "csv"),
-                "quantities": (_columns, list(RUN_COLUMNS))}, {}),
+                "quantities": (_columns, RUN_COLUMNS)}, {}),
 }
 
 AXIS = {"path": (_string, REQUIRED), "values": (_number_list, None),
@@ -223,9 +220,11 @@ def _walk(table: dict, doc: Any, path: str, root: str = "") -> dict:
             raise ConfigError(f"missing key {name}.{key}")
     leaves = {}
     for key, (kind, default) in table.items():
-        if key in doc or default is not None:
+        if key in doc or isinstance(kind, dict):
             value, at = doc.get(key, default), f"{path}.{key}" if path else key
             leaves[key] = _walk(kind, value, at) if isinstance(kind, dict) else kind(value, at)
+        elif default is not None:
+            leaves[key] = default
     return leaves
 
 
@@ -311,8 +310,7 @@ def _with_leaves(doc: dict, leaves: dict[str, Any]) -> dict:
         *parents, leaf = path.split(".")
         node = doc
         for key in parents:
-            if not isinstance(node.get(key), dict):
-                node[key] = {}
+            node[key] = node[key] if isinstance(node.get(key), dict) else {}
             node = node[key]
         node[leaf] = value
     return doc

@@ -137,8 +137,7 @@ class SscAngles:
 
 def ssc_to_coupling(angles: SscAngles, dt: float) -> CouplingSpec:
     """CouplingSpec with exactly the three SSC entries set."""
-    j_x, j_y, j_zy = angles.j_values()
-    return ssc_coupling(j_x, j_y, j_zy, dt)
+    return ssc_coupling(*angles.j_values(), dt)
 
 
 def gibbs_state(h: QubitHamiltonian, beta: float) -> np.ndarray:

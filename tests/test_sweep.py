@@ -48,6 +48,8 @@ EDGE_SWEEPS = {
     "ssc_alpha_out_of_range": (SSC_BASE, {"coupling.ssc.alpha": [0.1, 2.0, 0.5]}, 3,
                                {1: ALPHA_ERROR}),
     "theta_over_named_state": (BASE, {"run.rho0.theta": [0.1, 0.7]}, 0, {}),
+    "theta_phi_over_named_state": (BASE, {"run.rho0.theta": [0.1, 0.7],
+                                          "run.rho0.phi": [0.0, 1.5]}, 0, {}),
     "n_fastest": (BASE, {"model.beta": [0.5, 2.0], "run.n_collisions": [2, 3]}, 0, {}),
 }
 
