@@ -9,14 +9,13 @@ and a single configuration is a stack of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import observables
 from .lindblad import kernel_state
-from .linalg import check_density, clamp_to_density, dagger, trace_distance
+from .linalg import check_density, clamp_to_density, dagger, gram_projection, lift, trace_distance
 from .model import (SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
                     build_interaction, collision_unitary, free_hamiltonians)
 from .thermo import (ThermoLedger, affine_functional, bloch_entropy, change_functional,
@@ -30,11 +29,12 @@ I4 = np.eye(4)
 
 
 class NoSteadyStateError(RuntimeError):
-    """The iterated state has no limit, or its fixed point misses the tolerance."""
+    """The iterated state has no limit, or its fixed point misses the tolerance, at the
+    points of the stack that the boolean array failed marks; residual is over the stack."""
 
-    def __init__(self, msg: str, residual: float):
+    def __init__(self, msg: str, residual: np.ndarray, failed: np.ndarray):
         super().__init__(msg)
-        self.residual = residual
+        self.residual, self.failed = residual, failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,6 @@ class Trajectory:
         return self.states[..., -1, :]
 
 
-def _lift(r: np.ndarray) -> np.ndarray:
-    """(1, r): a Bloch vector in the coordinates that the map T acts on."""
-    return np.concatenate([np.ones(r.shape[:-1] + (1,)), r], axis=-1)
-
-
 def run(config: CollisionConfig) -> Trajectory:
     """Propagate rho0 through n_collisions applications of the map, with the ledger.
 
@@ -103,7 +98,7 @@ def run(config: CollisionConfig) -> Trajectory:
     t = collision_map_superoperator(u, r_a)
     batch = np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1])
     lifted = np.empty(batch + (config.n_collisions + 1, 4))
-    lifted[..., 0, :] = _lift(config.rho0)
+    lifted[..., 0, :] = lift(config.rho0)
     for n in range(config.n_collisions):
         np.matmul(t, lifted[..., n, :, None], out=lifted[..., n + 1, :, None])
     states = lifted[..., 1:]
@@ -150,7 +145,7 @@ def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
     stacked config gives the stack of final states in one matrix power.
     """
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
-    out = np.linalg.matrix_power(t, n) @ _lift(config.rho0)[..., None]
+    out = np.linalg.matrix_power(t, n) @ lift(config.rho0)[..., None]
     return clamp_to_density(out[..., 1:, 0])
 
 
@@ -158,37 +153,40 @@ def steady_state_by_iteration(config: CollisionConfig) -> "observables.SteadySta
     """The limit of iterating the map from rho0, solved directly: r* = (I - M)^-1 c.
 
     A degenerate eigenvalue-1 space gives the spectral projection of rho0
-    onto it. Weight of rho0 on another eigenvalue of modulus 1 never
-    decays: there is no limit (NoSteadyStateError). residual bounds the
-    distance to the fixed point by trace_distance(M r* + c, r*) / (1 - |l2|),
-    l2 the largest decaying eigenvalue of M outside that space. As for a
-    converged iteration, one collision must move the state by less than
-    config.convergence_tol * dt, or NoSteadyStateError is raised.
+    onto it. Weight of rho0 on another eigenvalue of modulus 1 never decays:
+    there is no limit. residual bounds the distance to the fixed point by
+    trace_distance(M r* + c, r*) / (1 - |l2|), l2 the largest decaying
+    eigenvalue of M outside that space. As for a converged iteration, one
+    collision must move the state by less than config.convergence_tol * dt,
+    or NoSteadyStateError is raised: for a stack, if any point fails.
     """
-    tol = config.convergence_tol
-    dt = config.coupling.dt
+    tol_dt = config.convergence_tol * config.coupling.dt
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
-    m, c = t[1:, 1:], t[1:, 0]
+    t = np.broadcast_to(t, np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1]) + (4, 4))
+    m, c = t[..., 1:, 1:], t[..., 1:, 0]
     r, dim = kernel_state(t - I4, config.rho0, FIXED_POINT_FLOOR)
-    # the eigenvalues of M outside the eigenvalue-1 space of T (whose first
-    # dimension is the trace), and those of them that never decay
+    # the moduli of the eigenvalues of M outside the eigenvalue-1 space of T
+    # (whose first dimension is the trace; 0 inside it), and those that never decay
     lam, vecs = np.linalg.eig(m)
-    rest = np.argsort(abs(lam - 1))[dim - 1:]
-    moduli = abs(lam[rest])
+    moduli = np.where(abs(lam - 1).argsort().argsort() >= (dim - 1)[..., None], abs(lam), 0.0)
     rotating = 1 - moduli <= FIXED_POINT_FLOOR
-    for mu in lam[rest[rotating]]:
-        # M is a contraction, so the eigenvectors of an eigenvalue of modulus 1
-        # are orthogonal to all others and its spectral projection is orthogonal;
-        # the motion is the Hilbert-Schmidt distance ||d rho||_2 = |d r|/sqrt(2)
-        q, _ = np.linalg.qr(vecs[:, abs(lam - mu) <= FIXED_POINT_FLOOR])
-        motion = abs(mu - 1) * np.linalg.norm(q.conj().T @ (config.rho0 - r)) / math.sqrt(2)
-        if motion >= tol * dt:
-            raise NoSteadyStateError(f"no steady state: rho0 rotates by {motion:.3e} per collision"
-                                     f" at the eigenvalue {mu:.6g} of modulus 1", motion / dt)
-    step = trace_distance(m @ r + c, r)
-    residual = step / (1 - moduli[~rotating].max(initial=0.0))
-    if step >= tol * dt:
-        raise NoSteadyStateError(
-            f"fixed point moves {step:.3e} under one collision, not below tol * dt", residual)
+    step = trace_distance((m @ r[..., None])[..., 0] + c, r)
+    residual = step / (1 - np.where(rotating, 0.0, moduli).max(axis=-1))
+    motion = np.zeros(step.shape)
+    if rotating.any():
+        # M is a contraction: eigenvectors of modulus 1 are orthogonal to all others, so
+        # P is orthogonal; the motion is the trace distance |(M - I) P (rho0 - r*)|/2
+        p = gram_projection(vecs, dagger(vecs), rotating, config.rho0 - r)
+        motion = np.linalg.norm((m - I4[1:, 1:]) @ p[..., None], axis=(-2, -1)) / 2
+    excess = np.maximum(motion, step) / tol_dt
+    if (excess >= 1).any():
+        k = tuple(map(int, np.unravel_index(excess.argmax(), excess.shape)))    # the worst point
+        rotates = motion >= tol_dt
+        mu = lam[k][np.argmax(np.where(rotating[k], abs(lam[k] - 1), -1))]
+        msg = (f"no steady state: rho0 rotates by {motion[k]:.3e} per collision at the eigenvalue"
+               f" {mu:.6g} of modulus 1" if rotates[k] else
+               f"fixed point moves {step[k]:.3e} under one collision, not below tol * dt")
+        raise NoSteadyStateError(msg + (f" at stack index {k}" if k else ""), np.where(
+            rotates, motion / config.coupling.dt, residual), excess >= 1)
     return observables.make_report(r, config.hs, method="iteration",
                                    residual=residual, degenerate=dim > 1)

@@ -45,6 +45,20 @@ def exp_minus_i(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * np.asarray(t)[..., None])[..., None, :]) @ dagger(v)
 
 
+def lift(r: np.ndarray) -> np.ndarray:
+    """(1, r): Bloch vectors (or a stack) in the coordinates that an affine map acts on."""
+    return np.concatenate([np.ones(r.shape[:-1] + (1,)), r], axis=-1)
+
+
+def gram_projection(right: np.ndarray, left: np.ndarray, keep: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """R (L R)^-1 L x for the columns R of right and the rows L of left that keep
+    marks (or a stack): the others are zeroed, and diag(~keep) stands in for them in L R."""
+    right, left = right * keep[..., None, :], left * keep[..., :, None]
+    gram = left @ right + np.eye(keep.shape[-1]) * ~keep[..., None, :]
+    return (right @ np.linalg.solve(gram, left @ x[..., None]))[..., 0]
+
+
 def check_density(r: np.ndarray, what: str = "state") -> np.ndarray:
     """Validate a Bloch vector or a stack of them; returns the lengths |r|.
 

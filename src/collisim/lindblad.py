@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import clamp_to_density, dagger
+from .linalg import clamp_to_density, dagger, gram_projection, lift
 from .model import (PAULIS, SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
                     coupling_operator, density_matrix, free_hamiltonians)
 from .observables import SteadyStateReport, make_report
@@ -98,14 +98,12 @@ def kernel_state(g: np.ndarray, r_ref: np.ndarray | None = None,
     # a degenerate A is replaced by I here, and its state projected below
     r = -np.linalg.solve(np.where(degenerate[..., None, None], I3, a), b[..., None])[..., 0]
     if degenerate.any():
-        ref = np.broadcast_to(np.zeros(3) if r_ref is None else r_ref, r.shape)
-        for idx in map(tuple, np.argwhere(degenerate)):
-            u, _, vh = np.linalg.svd(g[idx])
-            k = dim[idx]
-            right, left = vh[-k:].T, u[:, -k:].T
-            p = right @ np.linalg.solve(left @ right, left @ np.r_[1.0, ref[idx]])
-            # the first row of g vanishes, so the projection keeps the trace p[0] = 1
-            r[idx] = p[1:] / p[0]
+        ref = np.broadcast_to(np.zeros(3) if r_ref is None else r_ref, r.shape)[degenerate]
+        u, _, vh = np.linalg.svd(g[degenerate])
+        zero = np.arange(4) >= 4 - dim[degenerate][:, None]    # the last dim singular values
+        p = gram_projection(vh.swapaxes(-1, -2), u.swapaxes(-1, -2), zero, lift(ref))
+        # the first row of g vanishes, so the projection keeps the trace p[0] = 1
+        r[degenerate] = p[:, 1:] / p[:, :1]
     return clamp_to_density(r), dim
 
 

@@ -204,10 +204,10 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
 def pure_state(theta: float, phi: float = 0.0) -> np.ndarray:
     """Bloch vector of |psi> = cos(theta)|e> + e^{i phi} sin(theta)|g>, or a stack of
     them, each by math's sin and cos as alone: numpy's can round the last bit differently."""
-    sin, cos = np.frompyfunc(math.sin, 1, 1), np.frompyfunc(math.cos, 1, 1)
-    s = sin(2 * theta)
-    r = np.broadcast_arrays(s * cos(phi), s * sin(phi), cos(2 * theta))
-    return np.stack(r, axis=-1).astype(float)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    r = [(math.sin(2 * t) * math.cos(p), math.sin(2 * t) * math.sin(p), math.cos(2 * t))
+         for t, p in zip(theta.ravel().tolist(), phi.ravel().tolist())]
+    return np.array(r, dtype=float).reshape(theta.shape + (3,))
 
 
 def density_matrix(r: np.ndarray) -> np.ndarray:

@@ -58,13 +58,13 @@ class SteadyStateReport:
     """Steady state (Bloch vector r_star) plus its thermodynamic characterization.
 
     Every field but method is a numpy array over the stack axes of r_star,
-    0-d for one state. beta_eff is nan where the state carries more than
-    COHERENCE_THRESHOLD of l1-coherence (populations alone do not define a
-    temperature then) or where omega_s = 0. residual is ||L(rho*)||_max for
-    the kernel method; for iteration, the bound
-    trace_distance(M r* + c, r*) / (1 - |l2|) on the distance to the fixed
-    point of the collision map (see steady_state_by_iteration). degenerate
-    marks a non-unique steady state (initial-state dependent).
+    0-d for one state: both methods solve a stack in one call. beta_eff is
+    nan where the state carries more than COHERENCE_THRESHOLD of l1-coherence
+    (populations alone do not define a temperature then) or where omega_s = 0.
+    residual is ||L(rho*)||_max for the kernel method; for iteration, the bound
+    trace_distance(M r* + c, r*) / (1 - |l2|) on each point's distance to the
+    fixed point of the collision map (see steady_state_by_iteration).
+    degenerate marks a non-unique steady state (initial-state dependent).
     """
 
     r_star: np.ndarray

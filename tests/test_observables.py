@@ -76,6 +76,16 @@ def test_effective_beta_negative_frequency_and_vanishing_populations(omega_s):
             pytest.approx(beta, rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="a population carried through the Bloch z keeps only "
+                   "the absolute round-off of z: 23.025850847 for 23.025850930")
+def test_effective_beta_near_a_pole_keeps_relative_precision():
+    # p_e = cos^2(theta) is about 1e-10 here, and (1 + z)/2 loses about 1e-16
+    # absolutely of it: beta_eff is ln tan^2(theta) to only 4e-9 relative
+    theta = math.pi / 2 - 1e-5
+    assert effective_beta(pure_state(theta), 1.0) == pytest.approx(
+        math.log(math.tan(theta) ** 2), rel=1e-12)
+
+
 def test_effective_beta_matches_detailed_balance_oracle():
     # J_y/J_x = 1/2 at beta = 1: the rate-ratio formula gives 0.776
     anc = AncillaPrep(beta=1.0, omega_a=1.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import collisim.cli as cli
 from collisim.engine import (CollisionConfig, NoSteadyStateError,
                              collision_map_superoperator, run, steady_state_by_iteration)
-from collisim.lindblad import steady_state_of
+from collisim.lindblad import build_generator, kernel_state, steady_state_of
 from collisim.linalg import (PSD_TOL, NotAStateError, check_density, clamp_to_density, kron,
                              trace_distance)
 from collisim.model import PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian, density_matrix
@@ -39,21 +39,30 @@ points = st.integers(1, 5).flatmap(lambda p: st.tuples(
     *(st.lists(x, min_size=p, max_size=p) for x in POINT)))
 
 
-def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None):
+def _grid(j, beta, dt, omega_s, omega_a, n=1, rho0=None, tol=None):
     """The stacked config of the drawn points and the single-point configs.
 
     Each parameter is a list with one value per point; rho0, if given, is a
-    stack with one state per point.
+    stack with one state per point, and tol an array of convergence_tol.
     """
     rho0 = np.array([[0.0, 0.0, 0.8]] * len(beta)) if rho0 is None else rho0
+    tol = np.full(len(beta), 1e-10) if tol is None else tol
 
-    def config(j, beta, dt, omega_s, omega_a, rho0):
+    def config(j, beta, dt, omega_s, omega_a, rho0, tol):
         return CollisionConfig(
             hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
             coupling=CouplingSpec(np.reshape(j, np.shape(j)[:-1] + (3, 3)), dt=dt),
-            n_collisions=n, rho0=rho0)
-    return (config(*map(np.array, (j, beta, dt, omega_s, omega_a)), rho0),
-            [config(*point) for point in zip(j, beta, dt, omega_s, omega_a, rho0)])
+            n_collisions=n, rho0=rho0, convergence_tol=tol)
+    return (config(*map(np.array, (j, beta, dt, omega_s, omega_a)), rho0, tol),
+            [config(*point) for point in zip(j, beta, dt, omega_s, omega_a, rho0, tol)])
+
+
+def _with_degenerate_points(grid):
+    """The drawn points, then a pure J_zy point and an uncoupled one, at the
+    other parameters of the first and last drawn points."""
+    grid = [x + [x[0], x[-1]] for x in grid]
+    grid[0][-2:] = [[0.0] * 7 + [1.0, 0.0], [0.0] * 9]
+    return grid
 
 
 def _maps(cfg):
@@ -105,7 +114,7 @@ def test_stacked_clamp_equals_per_state_and_raises_on_any_bad_state(p, seed, shi
 @settings(max_examples=60, deadline=None)
 @given(grid=points)
 def test_stacked_kernel_solve_matches_single_point_reports(grid):
-    stacked, singles = _grid(*grid)
+    stacked, singles = _grid(*_with_degenerate_points(grid))
 
     def solve(cfg):
         try:
@@ -117,15 +126,73 @@ def test_stacked_kernel_solve_matches_single_point_reports(grid):
     if any(isinstance(r, type) for r in reports):
         assert isinstance(rep, type)
         return
+    assert rep.degenerate[-2:].all()
+    # one kernel_state call over the stack is the single calls, bit for bit
+    g = build_generator(stacked.coupling, stacked.hs, stacked.ancilla)
+    r, dim = kernel_state(g)
     for k, single in enumerate(reports):
         assert bool(rep.degenerate[k]) == single.degenerate
-        if single.degenerate:
-            continue    # the kernel is not one state; any vector of it is an answer
+        r_k, dim_k = kernel_state(g[k])
+        assert np.array_equal(r[k], r_k) and dim[k] == dim_k
         rho_k, rho_single = density_matrix(rep.r_star[k]), density_matrix(single.r_star)
         assert np.max(np.abs(rho_k - rho_single)) <= 1e-12
         for key in ("coherence_l1", "ergotropy", "residual"):
             assert getattr(rep, key)[k] == pytest.approx(getattr(single, key), abs=1e-12)
         assert rep.beta_eff[k] == pytest.approx(single.beta_eff, rel=1e-12, abs=1e-12, nan_ok=True)
+
+
+def _iterate(cfg):
+    try:
+        return steady_state_by_iteration(cfg)
+    except (NoSteadyStateError, ValueError) as exc:     # ValueError includes NotAStateError
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=points, seed=st.integers(0, 2 ** 16))
+def test_stacked_iteration_matches_single_points_bit_for_bit(grid, seed):
+    # every parameter, convergence_tol and rho0 vary over the stack; for odd
+    # seeds the uncoupled point starts from a diagonal state and solves, for
+    # even ones its coherence precesses forever (unless omega_s dt is tiny)
+    grid = _with_degenerate_points(grid)
+    rng = np.random.default_rng(seed)
+    rho0 = np.array([random_bloch(rng) for _ in grid[1]])
+    if seed % 2:
+        rho0[-1, :2] = 0.0
+    tol = 10.0 ** -rng.integers(3, 11, len(rho0)).astype(float)
+    stacked, singles = _grid(*grid, rho0=rho0, tol=tol)
+    reports = [_iterate(cfg) for cfg in singles]
+    rep = _iterate(stacked)
+    if any(type(r) is NotAStateError for r in reports):
+        assert type(rep) is NotAStateError
+        return
+    failed = np.array([isinstance(r, NoSteadyStateError) for r in reports])
+    assert not failed[-2]
+    if failed.any():
+        assert isinstance(rep, NoSteadyStateError)
+        assert np.array_equal(rep.failed, failed)
+        np.testing.assert_array_equal(rep.residual, [r.residual for r in reports])
+        return
+    assert rep.degenerate[-2:].all()
+    for key in ("r_star", "residual", "degenerate"):
+        np.testing.assert_array_equal(getattr(rep, key), [getattr(r, key) for r in reports])
+
+
+def test_stacked_iteration_fails_only_at_the_point_without_a_limit():
+    # no coupling and a coherent rho0: the coherence precesses forever; its
+    # neighbours, one regular and one degenerate, still solve
+    j = [[1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.3, 0.0], [0.0] * 9, [0.0] * 7 + [1.0, 0.0]]
+    stacked, singles = _grid(j, [1.0] * 3, [0.05] * 3, [1.0] * 3, [1.0] * 3,
+                             rho0=np.array([[0.6, 0.0, 0.0]] * 3))
+    with pytest.raises(NoSteadyStateError, match=r"modulus 1 at stack index \(1,\)") as err:
+        steady_state_by_iteration(stacked)
+    assert np.array_equal(err.value.failed, [False, True, False])
+    with pytest.raises(NoSteadyStateError) as alone:
+        steady_state_by_iteration(singles[1])
+    assert str(alone.value) in str(err.value) and not alone.value.failed.shape
+    residuals = [steady_state_by_iteration(singles[0]).residual, alone.value.residual,
+                 steady_state_by_iteration(singles[2]).residual]
+    np.testing.assert_array_equal(err.value.residual, residuals)
 
 
 @settings(max_examples=40, deadline=None)
