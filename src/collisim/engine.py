@@ -158,11 +158,12 @@ def steady_state_by_iteration(config: CollisionConfig) -> "observables.SteadySta
     trace_distance(M r* + c, r*) / (1 - |l2|), l2 the largest decaying
     eigenvalue of M outside that space. As for a converged iteration, one
     collision must move the state by less than config.convergence_tol * dt,
-    or NoSteadyStateError is raised: for a stack, if any point fails.
+    or NoSteadyStateError is raised: for a stack (of T, rho0 or tol), if any point fails.
     """
     tol_dt = config.convergence_tol * config.coupling.dt
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
-    t = np.broadcast_to(t, np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1]) + (4, 4))
+    stack = np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1], np.shape(tol_dt))
+    t = np.broadcast_to(t, stack + (4, 4))
     m, c = t[..., 1:, 1:], t[..., 1:, 0]
     r, dim = kernel_state(t - I4, config.rho0, FIXED_POINT_FLOOR)
     # the moduli of the eigenvalues of M outside the eigenvalue-1 space of T

@@ -90,8 +90,7 @@ def kernel_state(g: np.ndarray, r_ref: np.ndarray | None = None,
     dimension of each kernel.
     """
     a, b = g[..., 1:, 1:], g[..., 1:, 0]
-    if floor is None:
-        floor = -DEGENERACY_TOL * a.trace(axis1=-2, axis2=-1)
+    floor = -DEGENERACY_TOL * a.trace(axis1=-2, axis2=-1) if floor is None else floor
     s = np.linalg.svd(g[..., 1:, :], compute_uv=False)
     dim = 1 + (s <= np.asarray(floor)[..., None]).sum(axis=-1)
     degenerate = dim > 1

@@ -195,6 +195,24 @@ def test_stacked_iteration_fails_only_at_the_point_without_a_limit():
     np.testing.assert_array_equal(err.value.residual, residuals)
 
 
+def test_stacked_tolerance_alone_makes_the_stack():
+    # one uncoupled coherent point under three tolerances: only the tight one
+    # fails, and the error and the report have the shape of the tolerance stack
+    def config(tol):
+        return CollisionConfig(
+            hs=QubitHamiltonian(1.0), ancilla=AncillaPrep(beta=1.0, omega_a=1.0),
+            coupling=CouplingSpec(np.zeros((3, 3)), dt=0.05), n_collisions=1,
+            rho0=np.array([0.6, 0.0, 0.0]), convergence_tol=tol)
+    with pytest.raises(NoSteadyStateError, match=r"modulus 1 at stack index \(1,\)") as err:
+        steady_state_by_iteration(config(np.array([1.0, 1e-10, 1.0])))
+    assert np.array_equal(err.value.failed, [False, True, False])
+    assert err.value.residual.shape == (3,)
+    rep, alone = steady_state_by_iteration(config(np.array([1.0, 2.0]))), \
+        steady_state_by_iteration(config(1.0))
+    assert rep.r_star.shape == (2, 3)
+    np.testing.assert_array_equal(rep.r_star, [alone.r_star] * 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(grid=points, n=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
 def test_stacked_run_slices_match_single_point_runs(grid, n, seed):

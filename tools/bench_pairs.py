@@ -1,13 +1,14 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
-    python tools/bench_pairs.py --pairs 10 --seconds 8 --out BENCH_22.json
-    python tools/bench_pairs.py --parent HEAD~1 ...   # once the change is committed
+    python tools/bench_pairs.py --parent HEAD --out BENCH_22.json     # uncommitted change
+    python tools/bench_pairs.py --parent HEAD~1 --out BENCH_22.json   # committed change
 
 Runs perfbench/run.py unchanged, once from the committed files of the parent
 (exported with `git archive` into a temporary directory, which is removed
 afterwards) and once from the working tree, for every workload of
-BENCHMARK.json. Pair k runs both sides at seed k, the parent first for odd k
-and the change first for even k. The JSON written holds the machine, both
+BENCHMARK.json, for PAIRS pairs of SECONDS-second runs at --trace 0. Pair k
+runs both sides at seed k, the parent first for odd k and the change first
+for even k. The JSON written holds the machine, both
 commits (the change side is HEAD plus any uncommitted edits), the line
 counts of src/, and for each workload: per end-to-end metric of
 BENCHMARK.json each side's median and quartiles and the pairs the change
@@ -23,10 +24,11 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
+SECONDS = 8.0
 
 
 def git(*args: str) -> str:
@@ -36,12 +38,9 @@ def git(*args: str) -> str:
 
 def export(commit: str, dest: str) -> None:
     """Write the files of commit into dest, as a fresh checkout has them."""
-    archive = os.path.join(dest, "tree.tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", archive, commit], cwd=ROOT,
-                   check=True)
-    with tarfile.open(archive) as tar:
-        tar.extractall(dest, filter="data")
-    os.remove(archive)
+    tree = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=tree, check=True)
 
 
 def src_lines(checkout: str) -> dict[str, int]:
@@ -73,10 +72,10 @@ def machine() -> dict:
     return info
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One perfbench/run.py result, from the root of checkout."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{workload} seed {seed} in {checkout} exited {proc.returncode}:\n"
@@ -112,25 +111,22 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--workloads", nargs="*", help="default: all of BENCHMARK.json")
+    parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     parent = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export(parent, tmp)
         sides = {"parent": tmp, "change": ROOT}
         runs = {w: {"parent": [], "change": []} for w in workloads}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ["parent", "change"] if seed % 2 else ["change", "parent"]
             for workload in workloads:
                 for side in order:
-                    result = run_once(sides[side], workload, seed, args.seconds)
+                    result = run_once(sides[side], workload, seed)
                     runs[workload][side].append(result)
                     print(f"pair {seed} {workload} {side}: "
                           f"wall_s {result['metrics']['wall_s']['value']:.4g}", flush=True)
@@ -140,8 +136,8 @@ def main() -> int:
            "commits": {"parent": parent, "change": git("rev-parse", "HEAD"),
                        "change_uncommitted": bool(git("status", "--porcelain"))},
            "src_lines": lines,
-           "settings": {"pairs": args.pairs, "seconds": args.seconds, "trace": 0,
-                        "seeds": f"1..{args.pairs}", "first": "parent on odd seeds"},
+           "settings": {"pairs": PAIRS, "seconds": SECONDS, "trace": 0,
+                        "seeds": f"1..{PAIRS}", "first": "parent on odd seeds"},
            "workloads": {w: summarize(runs[w], bench["end_to_end"]) for w in workloads}}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
