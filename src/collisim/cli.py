@@ -40,6 +40,10 @@ EXIT_NUMERICAL = 3
 
 ENV_OUT_DIR = "COLLISIM_OUT"
 
+# The failures that exit 3 and that a sweep records per point (NotAStateError and
+# ConfigError are ValueErrors; a MemoryError is a run.n_collisions too large to allocate).
+NUMERICAL_FAILURES = (NoSteadyStateError, ValueError, np.linalg.LinAlgError, MemoryError)
+
 # Rows formatted and written at a time: bounds the text held in memory.
 WRITE_BATCH = 1000
 
@@ -127,23 +131,28 @@ def _fields(table: np.ndarray, names) -> np.ndarray:
                                 "itemsize": dt.itemsize}))
 
 
-def resolve_out_dir(arg_out: str | None) -> str:
-    out = arg_out or os.environ.get(ENV_OUT_DIR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write(out_dir: str, name: str, columns, table: np.ndarray, out_format: str = "csv") -> str:
+    """Write a table to `name` under out_dir, or to `name` if it is absolute; returns
+    the path. out_dir is made at the first write, so a failed command leaves none."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    write_table(path, list(columns), table, out_format)
+    return path
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    return name if os.path.isabs(name) else os.path.join(out_dir, name)
+def _write_json(out_dir: str, name: str, doc) -> str:
+    """Write a JSON document as _write places a table; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return path
 
 
 def cmd_run(cfg: RunConfig, out_dir: str, out_format: str | None = None) -> str:
     """Write the trajectory table; returns the file path."""
-    fmt_ = out_format or cfg.out_format
     table = _fields(trajectory_rows(cfg.collision), cfg.quantities)
-    path = _out_path(out_dir, cfg.out_path)
-    write_table(path, list(cfg.quantities), table, fmt_)
-    return path
+    return _write(out_dir, cfg.out_path, cfg.quantities, table, out_format or cfg.out_format)
 
 
 def report_to_dict(rep: SteadyStateReport) -> dict:
@@ -184,10 +193,7 @@ def cmd_steady(cfg: RunConfig, method: str, out_dir: str) -> str:
     if kernel_rep is not None and iter_rep is not None:
         doc["trace_distance"] = float(trace_distance(kernel_rep.r_star, iter_rep.r_star))
     stem = os.path.splitext(os.path.basename(cfg.out_path))[0] or "steady"
-    path = _out_path(out_dir, stem + "_steady.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return path
+    return _write_json(out_dir, stem + "_steady.json", doc)
 
 
 def cmd_sweep(sweep: SweepConfig, out_dir: str,
@@ -198,8 +204,8 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
     one stack of trajectories. Failed points emit no data rows; they are recorded
     with their error in a <output>_failures.json sidecar and make the command exit 3.
     """
-    base_cfg = parse_run_config(sweep.base)
-    fmt_ = out_format or base_cfg.out_format
+    base = sweep.base
+    fmt_ = out_format or base.out_format
     grid = sweep.points()
     results = [res for points in sweep.stacks(grid) for res in _stack_rows(sweep, grid, points)]
     results.sort(key=lambda res: res[0][0])     # a failed point comes alone: in point order
@@ -219,16 +225,13 @@ def cmd_sweep(sweep: SweepConfig, out_dir: str,
     # an axis column holds integers only if all its values are ints (of int64 range)
     axes = (np.array(values.tolist()) for values in grid)
     table = np.rec.fromarrays([np.repeat(a.astype(float) if a.dtype == object else a, rows)
-                               for a in axes] + [merged[q] for q in base_cfg.quantities])
+                               for a in axes] + [merged[q] for q in base.quantities])
 
-    stem = os.path.splitext(os.path.basename(base_cfg.out_path))[0] or "sweep"
-    path = _out_path(out_dir, stem + "_sweep." + ("csv" if fmt_ == "csv" else "json"))
-    write_table(path, list(sweep.axes) + list(base_cfg.quantities), table, fmt_)
+    stem = os.path.splitext(os.path.basename(base.out_path))[0] or "sweep"
+    path = _write(out_dir, f"{stem}_sweep.{fmt_}", list(sweep.axes) + list(base.quantities),
+                  table, fmt_)
     if failures:
-        fail_path = _out_path(out_dir, stem + "_sweep_failures.json")
-        with open(fail_path, "w", encoding="utf-8") as fh:
-            json.dump(failures, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir, stem + "_sweep_failures.json", failures)
     return path, (EXIT_NUMERICAL if failures else EXIT_OK)
 
 
@@ -245,7 +248,7 @@ def _stack_rows(sweep: SweepConfig, grid: list[np.ndarray], points: np.ndarray) 
         # rho0 carries the stack axis, also where only run.n_collisions is an axis
         rho0 = np.broadcast_to(cfg.rho0, (len(points), 3))
         return [(points, trajectory_rows(dataclasses.replace(cfg, rho0=rho0)))]
-    except (ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+    except NUMERICAL_FAILURES as exc:
         if len(points) == 1:
             return [(points, f"{type(exc).__name__}: {exc}")]
     return [res for point in points[:, None] for res in _stack_rows(sweep, grid, point)]
@@ -258,47 +261,36 @@ def _fig_run_config(coupling, beta, rho0: np.ndarray) -> CollisionConfig:
         coupling=coupling, n_collisions=FIG_N, rho0=rho0)
 
 
+def _panels(out_dir: str, names: list[str], coupling) -> list[str]:
+    """One transient table per coupling of a stack, at beta = 1 from the fig3 state."""
+    tables = trajectory_rows(_fig_run_config(coupling, 1.0, pure_state(FIG3_THETA)))
+    return [_write(out_dir, name, RUN_COLUMNS, table)
+            for name, table in zip(names, tables.reshape(len(names), -1))]
+
+
 def cmd_fig3(out_dir: str) -> list[str]:
     """Effective-temperature curve and the four transient-current tables (one stacked run)."""
-    paths = []
     beta, ratio = cartesian_grid(FIG3_BETAS, np.linspace(-3.0, 3.0, FIG3A_RATIO_POINTS))
     rep = steady_state_of(diagonal_coupling(1.0, ratio, FIG_DT), QubitHamiltonian(1.0),
                           AncillaPrep(beta=beta, omega_a=1.0))
     table = np.rec.fromarrays([beta, ratio, rep.beta_eff, rep.beta_eff / beta])
-    path = _out_path(out_dir, "fig3a_beta_eff.csv")
-    write_table(path, ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], table, "csv")
-    paths.append(path)
-
-    coupling = diagonal_coupling(1.0, np.array(FIG3_RATIOS), FIG_DT)
-    tables = trajectory_rows(_fig_run_config(coupling, 1.0, pure_state(FIG3_THETA)))
-    for ratio, table in zip(FIG3_RATIOS, tables.reshape(len(FIG3_RATIOS), -1)):
-        path = _out_path(out_dir, f"fig3_traj_ratio_{ratio:+.2f}.csv")
-        write_table(path, list(RUN_COLUMNS), table, "csv")
-        paths.append(path)
-    return paths
+    path = _write(out_dir, "fig3a_beta_eff.csv",
+                  ["beta", "jy_over_jx", "beta_eff", "beta_eff_over_beta"], table)
+    return [path] + _panels(out_dir, [f"fig3_traj_ratio_{r:+.2f}.csv" for r in FIG3_RATIOS],
+                            diagonal_coupling(1.0, np.array(FIG3_RATIOS), FIG_DT))
 
 
 def cmd_fig5(out_dir: str) -> list[str]:
     """Steady-state coherence vs alpha, and transient currents at beta = 1 (one stacked run)."""
-    paths = []
-    rho0 = pure_state(FIG3_THETA)
     beta, alpha = cartesian_grid(FIG3_BETAS, FIG5_ALPHAS)
     coupling = ssc_to_coupling(SscAngles(alpha, FIG5_GAMMA, FIG5_MAGNITUDE), FIG_DT)
-    coherence = l1_coherence(propagate_collisions(_fig_run_config(coupling, beta, rho0), FIG_N))
-    table = np.rec.fromarrays([beta, alpha, coherence])
-    path = _out_path(out_dir, "fig5a_coherence.csv")
-    write_table(path, ["beta", "alpha", "coherence_l1"], table, "csv")
-    paths.append(path)
-
+    cfg = _fig_run_config(coupling, beta, pure_state(FIG3_THETA))
+    table = np.rec.fromarrays([beta, alpha, l1_coherence(propagate_collisions(cfg))])
+    path = _write(out_dir, "fig5a_coherence.csv", ["beta", "alpha", "coherence_l1"], table)
     coupling = ssc_to_coupling(SscAngles(np.array(FIG5_PANEL_ALPHAS), FIG5_GAMMA, FIG5_MAGNITUDE),
                                FIG_DT)
-    tables = trajectory_rows(_fig_run_config(coupling, 1.0, rho0))
-    labels = ("0", "pi8", "pi4", "3pi8")
-    for label, table in zip(labels, tables.reshape(len(labels), -1)):
-        path = _out_path(out_dir, f"fig5_traj_alpha_{label}.csv")
-        write_table(path, list(RUN_COLUMNS), table, "csv")
-        paths.append(path)
-    return paths
+    return [path] + _panels(out_dir, [f"fig5_traj_alpha_{label}.csv"
+                                      for label in ("0", "pi8", "pi4", "3pi8")], coupling)
 
 
 def cmd_ergotropy_surface(out_dir: str) -> list[str]:
@@ -308,23 +300,19 @@ def cmd_ergotropy_surface(out_dir: str) -> list[str]:
     rho0 = np.array([pure_state(math.pi / 2), pure_state(0.0)])[:, None]
     alpha, gamma = cartesian_grid(ERGO_ALPHAS, ERGO_GAMMAS)
     coupling = ssc_to_coupling(SscAngles(alpha, gamma, ERGO_MAGNITUDE), FIG_DT)
-    ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0), FIG_N), 1.0)
+    ergo = ergotropy(propagate_collisions(_fig_run_config(coupling, 1.0, rho0)), 1.0)
     table = np.rec.fromarrays([np.tile(alpha, len(names)), np.tile(gamma, len(names)),
                                np.repeat(names, alpha.size), ergo.ravel()])
-    path = _out_path(out_dir, "ergotropy_surface.csv")
-    write_table(path, ["alpha", "gamma", "rho0", "ergotropy"], table, "csv")
-    paths = [path]
+    path = _write(out_dir, "ergotropy_surface.csv", ["alpha", "gamma", "rho0", "ergotropy"], table)
 
     # axes (beta, rho0, alpha), in the row order of the slice table
     coupling = ssc_to_coupling(SscAngles(np.array(ERGO_ALPHAS), 0.0, ERGO_MAGNITUDE), FIG_DT)
     cfg = _fig_run_config(coupling, np.array(FIG3_BETAS)[:, None, None], rho0)
-    ergo = ergotropy(propagate_collisions(cfg, FIG_N), 1.0)
+    ergo = ergotropy(propagate_collisions(cfg), 1.0)
     beta, name, alpha = cartesian_grid(FIG3_BETAS, names, ERGO_ALPHAS)
     table = np.rec.fromarrays([beta, alpha, name, ergo.ravel()])
-    path = _out_path(out_dir, "ergotropy_slice_gamma0.csv")
-    write_table(path, ["beta", "alpha", "rho0", "ergotropy"], table, "csv")
-    paths.append(path)
-    return paths
+    return [path, _write(out_dir, "ergotropy_slice_gamma0.csv",
+                         ["beta", "alpha", "rho0", "ergotropy"], table)]
 
 
 # String cells go through write_table, and the per-row beta_eff through
@@ -373,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = args.out or os.environ.get(ENV_OUT_DIR) or "."
     try:
-        out_dir = resolve_out_dir(args.out)
         code = EXIT_OK
         if args.command == "run":
             paths = [cmd_run(load_run_config(args.config), out_dir, args.format)]
@@ -392,9 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoSteadyStateError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
-        # the failures a sweep records per point (NotAStateError is a ValueError;
-        # a MemoryError is a run.n_collisions too large to allocate)
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -279,7 +279,7 @@ def cartesian_grid(*axes) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    base: dict
+    base: RunConfig     # its .raw is the document that the axes patch
     axes: dict[str, tuple[float | int, ...]]     # path -> values, the first axis slowest
 
     def points(self) -> list[np.ndarray]:
@@ -298,7 +298,7 @@ class SweepConfig:
     def stack_document(self, grid: list[np.ndarray], points: np.ndarray) -> dict:
         """The base with each axis leaf set to its values at the points of a
         stack; run.n_collisions, which they share, to its one raw value."""
-        return _with_leaves(self.base, {
+        return _with_leaves(self.base.raw, {
             path: values[points][0] if path == "run.n_collisions" else values[points]
             for path, values in zip(self.axes, grid)})
 
@@ -318,10 +318,10 @@ def _with_leaves(doc: dict, leaves: dict[str, Any]) -> dict:
 
 def parse_sweep_config(doc: dict) -> SweepConfig:
     leaves = _walk(SWEEP, doc, "sweep", root="sweep")
-    sweep = SweepConfig(base=leaves["base"].raw, axes=leaves["axes"])
+    sweep = SweepConfig(base=leaves["base"], axes=leaves["axes"])
     # one parse at the first grid point: a path typo exits 2 before anything runs
     first = {path: values[0] for path, values in sweep.axes.items()}
-    parse_run_config(_with_leaves(sweep.base, first))
+    parse_run_config(_with_leaves(sweep.base.raw, first))
     n_points = math.prod(len(values) for values in sweep.axes.values())
     if n_points > leaves["cap"]:
         raise ConfigError(f"sweep: {n_points} points exceed the cap {leaves['cap']}")

@@ -137,15 +137,15 @@ def collision_map_superoperator(u: np.ndarray, r_a: np.ndarray) -> np.ndarray:
     return t
 
 
-def propagate_collisions(config: CollisionConfig, n: int) -> np.ndarray:
-    """State after n collisions via the matrix power of the collision map.
+def propagate_collisions(config: CollisionConfig) -> np.ndarray:
+    """State after config.n_collisions collisions via the matrix power of the collision map.
 
     Identical (to round-off) to running the loop, without the per-step
     ledger; used by figure grids, where only the final states matter: a
     stacked config gives the stack of final states in one matrix power.
     """
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
-    out = np.linalg.matrix_power(t, n) @ lift(config.rho0)[..., None]
+    out = np.linalg.matrix_power(t, config.n_collisions) @ lift(config.rho0)[..., None]
     return clamp_to_density(out[..., 1:, 0])
 
 

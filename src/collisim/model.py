@@ -96,9 +96,7 @@ class CouplingSpec:
 
 def diagonal_coupling(j_x: float, j_y: float, dt: float) -> CouplingSpec:
     """J_x sigma_x sigma_x + J_y sigma_y sigma_y family (arrays give a stack)."""
-    j = np.zeros(np.broadcast_shapes(np.shape(j_x), np.shape(j_y)) + (3, 3))
-    j[..., 0, 0], j[..., 1, 1] = j_x, j_y
-    return CouplingSpec(j, dt)
+    return ssc_coupling(j_x, j_y, 0.0, dt)
 
 
 def ssc_coupling(j_x: float, j_y: float, j_zy: float, dt: float) -> CouplingSpec:

@@ -192,7 +192,7 @@ def test_sweep_points_cartesian_order(tmp_path):
     # a sweep patches copies of the base, which stays as it was
     base = copy.deepcopy(doc["base"])
     assert cmd_sweep(sweep, str(tmp_path))[1] == 0
-    assert sweep.base == doc["base"] == base
+    assert sweep.base.raw == doc["base"] == base
 
 
 # ---------------------------------------------------------------- run + CLI
@@ -332,7 +332,7 @@ def test_output_quantities_must_be_a_nonempty_list(tmp_path, capsys, quantities,
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     assert ("output.quantities: expected a non-empty list of column names"
             in capsys.readouterr().err)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cmd_run_json_format(tmp_path):
@@ -436,6 +436,19 @@ def test_coupling_overflow_is_a_numerical_failure(tmp_path, capsys, command):
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, j_xx
 
 
+@pytest.mark.parametrize("command, j, code", [
+    ("run", None, 2), ("run", {"xx": 1e200}, 3), ("steady", {"xx": 1e200}, 3),
+], ids=["missing_config", "run_overflow", "steady_overflow"])
+def test_a_failed_command_leaves_no_output_directory(tmp_path, command, j, code):
+    # the output directory, parents included, is made at the first write
+    cfg_path = str(tmp_path / "missing.json")
+    if j is not None:
+        cfg_path = write_config(tmp_path, base_doc(coupling={"j": j, "dt": 0.05}))
+    out = tmp_path / "new" / "dir"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == code
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "steady", "sweep"])
 def test_nan_beta_exits_2(tmp_path, capsys, command):
     # JSON NaN is a number to json.load; like every other leaf, beta must not be one
@@ -447,7 +460,7 @@ def test_nan_beta_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out"
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: model.beta: must be finite\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("beta", ["inf", "-inf"])
@@ -722,7 +735,7 @@ def test_sweep_axis_path_typo_is_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "--config", sweep_path, "--out", str(out)]) == 2
     assert "config error: unknown key model.bta" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_record_joint_key_rejected(tmp_path):

@@ -155,7 +155,7 @@ def test_halving_dt_leaves_state_at_fixed_time_invariant():
 
 def test_propagate_collisions_matches_run():
     cfg = _config(ssc_coupling(0.9, 0.2, -0.5, dt=0.05), n=137)
-    assert matrices_close(propagate_collisions(cfg, 137), run(cfg).final, 1e-12)
+    assert matrices_close(propagate_collisions(cfg), run(cfg).final, 1e-12)
 
 
 def test_collision_map_superoperator_matches_collide_once():

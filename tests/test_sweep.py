@@ -112,7 +112,7 @@ def test_ambiguous_axes_exit_2(tmp_path, capsys, axes, message):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep_path), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 HUGE_N = 10 ** 15   # np.empty of this many collisions fails at once, without allocating
@@ -120,14 +120,14 @@ BETAS = [0.5, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("n_values, parses, failed", [
-    ([3, 4], 1 + 2, []),
-    ([3], 1 + 1, []),
+    ([3, 4], 2, []),
+    ([3], 1, []),
     # the failing stack alone is parsed again, once per point
-    ([3, HUGE_N], 1 + 2 + 3, [3, 4, 5]),     # in the numerics
-    ([3, 2.5], 1 + 2 + 3, [3, 4, 5]),        # by config error
+    ([3, HUGE_N], 2 + 3, [3, 4, 5]),     # in the numerics
+    ([3, 2.5], 2 + 3, [3, 4, 5]),        # by config error
     # a dict gives every axis in order: with run.n_collisions fastest, one stack per value
-    ({"model.beta": BETAS, "run.n_collisions": [3, 4]}, 1 + 2, []),
-    ({"model.beta": BETAS, "run.n_collisions": [3, 2.5]}, 1 + 2 + 3, [1, 3, 5]),
+    ({"model.beta": BETAS, "run.n_collisions": [3, 4]}, 2, []),
+    ({"model.beta": BETAS, "run.n_collisions": [3, 2.5]}, 2 + 3, [1, 3, 5]),
 ])
 def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, failed):
     calls = []
@@ -160,7 +160,7 @@ def test_loading_a_sweep_parses_the_base_and_its_first_point(monkeypatch, n_axes
     axes = {"model.beta": BETAS, "coupling.j.yy": [0.0, 1.0], "run.n_collisions": [3, 4]}
     sweep = config.parse_sweep_config({"base": BASE, "axes": [
         {"path": path, "values": values} for path, values in list(axes.items())[:n_axes]]})
-    assert calls[0] is sweep.base
+    assert calls[0] is sweep.base.raw
     # the probe: the base at the first grid point
     assert len(calls) == 2 and calls[1] == _point_doc(
         BASE, list(sweep.axes), [values[0] for values in sweep.axes.values()])

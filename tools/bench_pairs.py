@@ -8,11 +8,12 @@ Runs perfbench/run.py unchanged, once from the committed files of the parent
 afterwards) and once from the working tree, for every workload of
 BENCHMARK.json, for PAIRS pairs of SECONDS-second runs at --trace 0. Pair k
 runs both sides at seed k, the parent first for odd k and the change first
-for even k. The JSON written holds the machine, both
-commits (the change side is HEAD plus any uncommitted edits), the line
-counts of src/, and for each workload: per end-to-end metric of
-BENCHMARK.json each side's median and quartiles and the pairs the change
-won (ties count for neither side), and per side the output checks.
+for even k. The JSON written holds the machine, both commits (the change
+side is HEAD plus any uncommitted edits under src/ or perfbench/, the files
+the runs read), the line counts of src/, and for each workload: per
+end-to-end metric of BENCHMARK.json each side's median and quartiles and the
+pairs the change won (ties count for neither side), and per side the output
+checks.
 """
 
 from __future__ import annotations
@@ -31,9 +32,14 @@ PAIRS = 10
 SECONDS = 8.0
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, cwd: str = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def uncommitted(checkout: str = ROOT) -> bool:
+    """Whether the files that the runs read, src/ and perfbench/, differ from HEAD."""
+    return bool(git("status", "--porcelain", "--", "src", "perfbench", cwd=checkout))
 
 
 def export(commit: str, dest: str) -> None:
@@ -134,7 +140,7 @@ def main() -> int:
     doc = {"machine": machine(),
            # the change side is HEAD plus any uncommitted edits of the working tree
            "commits": {"parent": parent, "change": git("rev-parse", "HEAD"),
-                       "change_uncommitted": bool(git("status", "--porcelain"))},
+                       "change_uncommitted": uncommitted()},
            "src_lines": lines,
            "settings": {"pairs": PAIRS, "seconds": SECONDS, "trace": 0,
                         "seeds": f"1..{PAIRS}", "first": "parent on odd seeds"},
