@@ -119,15 +119,16 @@ HUGE_N = 10 ** 15   # np.empty of this many collisions fails at once, without al
 BETAS = [0.5, 1.0, 2.0]
 
 
+# parses: the base once when the sweep is loaded, then one per stack of points
 @pytest.mark.parametrize("n_values, parses, failed", [
-    ([3, 4], 2, []),
-    ([3], 1, []),
+    ([3, 4], 1 + 2, []),
+    ([3], 1 + 1, []),
     # the failing stack alone is parsed again, once per point
-    ([3, HUGE_N], 2 + 3, [3, 4, 5]),     # in the numerics
-    ([3, 2.5], 2 + 3, [3, 4, 5]),        # by config error
+    ([3, HUGE_N], 1 + 2 + 3, [3, 4, 5]),     # in the numerics
+    ([3, 2.5], 1 + 2 + 3, [3, 4, 5]),        # by config error
     # a dict gives every axis in order: with run.n_collisions fastest, one stack per value
-    ({"model.beta": BETAS, "run.n_collisions": [3, 4]}, 2, []),
-    ({"model.beta": BETAS, "run.n_collisions": [3, 2.5]}, 2 + 3, [1, 3, 5]),
+    ({"model.beta": BETAS, "run.n_collisions": [3, 4]}, 1 + 2, []),
+    ({"model.beta": BETAS, "run.n_collisions": [3, 2.5]}, 1 + 2 + 3, [1, 3, 5]),
 ])
 def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, failed):
     calls = []
@@ -136,6 +137,7 @@ def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, fa
         calls.append(doc)
         return parse_run_config(doc)
     monkeypatch.setattr(cli, "parse_run_config", counted)
+    monkeypatch.setattr(config, "parse_run_config", counted)
     axes = n_values if isinstance(n_values, dict) else {
         "run.n_collisions": n_values, "model.beta": BETAS}
     sweep_path = tmp_path / "sweep.json"
@@ -143,7 +145,11 @@ def test_sweep_parses_once_per_stack(tmp_path, monkeypatch, n_values, parses, fa
         {"path": path, "values": values} for path, values in axes.items()]}))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(sweep_path), "--out", str(out)]) == (3 if failed else 0)
-    assert len(calls) == parses
+    # the base is parsed first, then the probe at the first grid point; the command
+    # reuses the parsed base and parses nothing else but its stacks
+    assert calls[0] == BASE
+    assert calls[1] == _point_doc(BASE, list(axes), [values[0] for values in axes.values()])
+    assert len(calls) == 1 + parses
     if failed:
         failures = json.loads((out / "out_sweep_failures.json").read_text())
         assert [f["point"] for f in failures] == failed
