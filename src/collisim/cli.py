@@ -44,11 +44,8 @@ ENV_OUT_DIR = "COLLISIM_OUT"
 # ConfigError are ValueErrors; a MemoryError is a run.n_collisions too large to allocate).
 NUMERICAL_FAILURES = (NoSteadyStateError, ValueError, np.linalg.LinAlgError, MemoryError)
 
-# Rows formatted and written at a time: bounds the text held in memory.
-WRITE_BATCH = 1000
-
-# The printf conversion of a table field, by dtype kind.
-CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.16e", "U": "%s"}
+# Rows formatted and written at a time: bounds the bytes held in memory.
+WRITE_BATCH = 256
 
 # One record of a trajectory table: the collision index, then floats.
 RUN_DTYPE = np.dtype([(name, np.int64 if name == "n" else np.float64) for name in RUN_COLUMNS])
@@ -68,28 +65,93 @@ ERGO_ALPHAS = tuple(k * math.pi / 64 for k in range(33))
 ERGO_GAMMAS = tuple(-math.pi / 2 + k * math.pi / 32 for k in range(33))
 
 
-def write_table(path: str, columns: list[str], table: np.ndarray, out_format: str) -> None:
-    """Write a record array under the header `columns`, one printf template per row.
+@functools.cache
+def _cell_tables():
+    """The float kernel's tables: 10**(16 - e10) for e10 in [-292, 292] as hi, split in
+    two 26-bit halves, plus lo (hi + lo exact to ~2**-106); then, as 4-byte words,
+    b"\0-d." by lead digit d and sign, the 4-digit groups and b"e%+03d" by e10."""
+    ratios = [(10 ** k, 1) if k >= 0 else (1, 10 ** -k) for k in range(308, -277, -1)]
+    hi = np.array([p / q for p, q in ratios])
+    lo = np.array([(p * den - num * q) / (q * den) for (p, q), (num, den)
+                   in zip(ratios, map(float.as_integer_ratio, hi.tolist()))])
+    m, ex = np.frexp(hi)
+    c = m * 134217729.0     # Veltkamp split of the mantissa: c never overflows
+    hh = np.ldexp(c - (c - m), ex)
+    # a lead digit of 10 comes only with values that go through printf
+    heads = np.array([b"\0%c%d." % (sign, d % 10) for sign in b"\0-" for d in range(11)])
+    groups = np.array([b"%04d" % g for g in range(10000)])
+    exps = np.array([b"e%+03d" % e for e in range(-292, 293)], "S8").view(np.uint32)
+    return hh, hi - hh, lo, heads.view(np.uint32), groups.view(np.uint32), exps.reshape(-1, 2)
 
-    JSON holds each cell as a string, as `json.dump(doc, indent=1)` lays it
-    out, so string fields must need no JSON escaping (state names).
-    """
-    convs = [CONVERSIONS[table.dtype[k].kind] for k in range(len(table.dtype))]
+
+def _floats(x: np.ndarray) -> np.ndarray:
+    """b"%.16e" % v of each float64 v, as rows of 28 NUL-padded bytes. A Dekker product
+    scales |x| to y = |x| 10**(16 - e10), exact to ~1e-14, so the digits are floor(y) +
+    (frac(y) > 0.5); values not so proved (0, inf, nan, |x| outside [1e-290, 1e290], frac(y)
+    within 1e-6 of 0.5, floor(y) outside [1e16, 1e17)) go through printf once each."""
+    hh, hl, lo, heads, groups, exps = _cell_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a = np.where(fast, a, 1.0)
+    e10 = np.floor(np.log10(a)).astype(np.intp) + 292
+    hh, hl, lo = hh[e10], hl[e10], lo[e10]
+    p = a * (hh + hl)
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = a - ah
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo     # y = p + t, p integral
+    frac = t - np.floor(t)
+    q = p.astype(np.int64) + np.floor(t).astype(np.int64)
+    d = q + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > 1e-6) & (q >= 10 ** 16) & (d < 10 ** 17)
+    lead, d = np.divmod(d, 10 ** 16)
+    out = np.empty((len(x), 7), np.uint32)
+    out[:, 0] = heads[lead + 11 * (x < 0)]
+    high, low = np.divmod(d, 10 ** 8)
+    out[:, 1:5] = groups[np.stack(np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4), 1)]
+    out[:, 5:] = exps[e10]
+    bits, inverse = np.unique(x[~fast].view(np.int64), return_inverse=True)
+    out[~fast] = np.array([b"%.16e" % v for v in bits.view(np.float64).tolist()],
+                          "S28").view(np.uint32).reshape(-1, 7)[inverse]
+    return out.view(np.uint8)
+
+
+def write_table(path: str, columns: list[str], table: np.ndarray, out_format: str) -> None:
+    """Write a record array under the header `columns`: ints as "%d", floats as "%.16e",
+    strings as they are; each batch of WRITE_BATCH rows is one uint8 array of NUL-padded
+    cell blocks between separator blocks, its NUL bytes dropped. JSON holds each cell as
+    a string, as `json.dump(doc, indent=1)` lays it out, so string cells must need no
+    JSON escaping (state names) and hold no NUL byte."""
+    names = table.dtype.names
+    floats = [name for name in names if table.dtype[name].kind == "f"]
+    marks = ["\0"] * len(names)
     if out_format == "csv":
-        head, row, sep, tail = ",".join(columns) + "\n", ",".join(convs) + "\n", "", ""
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(marks) + "\n", "", ""
     else:
         # the layout of json.dump(doc, indent=1), streamed row by row
         head, tail = json.dumps({"columns": columns, "rows": []}, indent=1).rsplit("[]", 1)
         head, tail = (head + "[\n", "\n ]" + tail) if len(table) else (head + "[]", tail)
         tail += "\n"
-        row = "  [\n" + ",\n".join(f'   "{c}"' for c in convs) + "\n  ]" if convs else "  []"
+        row = "  [\n" + ",\n".join(f'   "{c}"' for c in marks) + "\n  ]" if marks else "  []"
         sep = ",\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
+    # the bytes before each cell and after the last, of a batch of rows each led by sep
+    seps = [np.broadcast_to(np.frombuffer(s.encode(), np.uint8), (WRITE_BATCH, len(s)))
+            for s in (sep + row).split("\0")]
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
         for start in range(0, len(table), WRITE_BATCH):
-            fh.write((sep if start else "") + sep.join(
-                map(row.__mod__, table[start:start + WRITE_BATCH].tolist())))
-        fh.write(tail)
+            rows = table[start:start + WRITE_BATCH]
+            cells = {name: np.array([b"%d" % v for v in rows[name].tolist()])
+                     if rows.dtype[name].kind in "iu" else np.char.encode(rows[name], "utf-8")
+                     for name in names if name not in floats}
+            if floats:
+                x = np.stack([rows[name] for name in floats], 1, dtype=np.float64)
+                cells.update(zip(floats, _floats(x.ravel()).reshape(*x.shape, -1).swapaxes(0, 1)))
+            text = np.concatenate([seps[0][:len(rows)]] + [b for name, s in zip(names, seps[1:])
+                                   for b in (cells[name].view(np.uint8).reshape(len(rows), -1),
+                                             s[:len(rows)])], axis=1).ravel()
+            fh.write(text[text != 0][0 if start else len(sep):].tobytes())
+        fh.write(tail.encode())
 
 
 def trajectory_rows(cfg: CollisionConfig) -> np.ndarray:
@@ -363,13 +425,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or "."
     try:
+        load = {"run": load_run_config, "steady": load_run_config, "sweep": load_sweep_config}
+        cfg = load[args.command](args.config) if args.command in load else None
+        # an --out under a file fails before any compute, with makedirs' own error
+        parent = os.path.abspath(out_dir)
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            os.makedirs(out_dir, exist_ok=True)
         code = EXIT_OK
         if args.command == "run":
-            paths = [cmd_run(load_run_config(args.config), out_dir, args.format)]
+            paths = [cmd_run(cfg, out_dir, args.format)]
         elif args.command == "steady":
-            paths = [cmd_steady(load_run_config(args.config), args.method, out_dir)]
+            paths = [cmd_steady(cfg, args.method, out_dir)]
         elif args.command == "sweep":
-            path, code = cmd_sweep(load_sweep_config(args.config), out_dir, args.format)
+            path, code = cmd_sweep(cfg, out_dir, args.format)
             paths = [path]
         else:
             paths = {"fig3": cmd_fig3, "fig5": cmd_fig5,

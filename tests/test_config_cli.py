@@ -407,6 +407,26 @@ def test_exit_code_2_on_unwritable_path(tmp_path):
     assert main(["run", "--config", cfg_path, "--out", str(blocker)]) == 2
 
 
+@pytest.mark.parametrize("sub, errno", [("", 17), ("sub", 20)])
+@pytest.mark.parametrize("command", ["run", "sweep", "fig3"])
+def test_out_under_a_file_fails_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                  command, sub, errno):
+    def computed(*args):
+        raise AssertionError("computed before the --out check")
+    monkeypatch.setattr("collisim.cli.trajectory_rows", computed)
+    monkeypatch.setattr("collisim.cli.steady_state_of", computed)
+    doc = base_doc()
+    if command == "sweep":
+        doc = {"base": doc, "axes": [{"path": "model.beta", "values": [1.0, 2.0]}]}
+    argv = [command] + (["--config", write_config(tmp_path, doc)] if command != "fig3" else [])
+    blocker = tmp_path / "blocked"
+    blocker.write_text("file, not a directory")
+    out = blocker / sub if sub else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: [Errno {errno}] ")
+    assert blocker.read_text() == "file, not a directory"
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path):
     # Hamiltonian-only dynamics from a coherent state precesses forever:
     # the iterated state has no limit
