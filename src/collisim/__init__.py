@@ -10,6 +10,6 @@ from .model import (AncillaPrep, CouplingSpec, QubitHamiltonian, SscAngles,
                     ssc_coupling, ssc_to_coupling)
 from .observables import (SteadyStateReport, effective_beta, ergotropy,
                           l1_coherence)
-from .thermo import ThermoLedger, change_functional, current_evaluators
+from .thermo import ThermoLedger, current_evaluators
 
 __version__ = "0.1.0"

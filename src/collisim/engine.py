@@ -16,9 +16,9 @@ import numpy as np
 from . import observables
 from .lindblad import kernel_state
 from .linalg import check_density, clamp_to_density, dagger, gram_projection, lift, trace_distance
-from .model import (SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    build_interaction, collision_unitary, free_hamiltonians)
-from .thermo import (ThermoLedger, affine_functional, bloch_entropy, change_functional,
+from .model import (SIGMA_S, SZ_A, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    build_interaction, collision_unitary)
+from .thermo import (ThermoLedger, affine_functional, bloch_entropy, energy_functionals,
                      expectation)
 
 
@@ -107,9 +107,10 @@ def run(config: CollisionConfig) -> Trajectory:
     # E_S = Tr[H_S rho] = (omega/2) z, with omega against the time axis; + 0.0 makes no -0.0
     energies = np.asarray(config.hs.omega)[..., None] / 2 * states[..., 2] + 0.0
     before = states[..., :-1, :]
-    # W and Q are the changes of the free Hamiltonians H_0 and I (x) H_A
-    k_w, k_q = (change_functional(u, x, r_a)
-                for x in free_hamiltonians(config.hs, config.ancilla.hamiltonian()))
+    # W and Q from the changes of sigma_z (x) I, row 3 of T, and of I (x) sigma_z
+    k_w, k_q = energy_functionals(t[..., 3, :] - (0, 0, 0, 1),
+                                  affine_functional(dagger(u) @ SZ_A @ u - SZ_A, r_a),
+                                  config.hs.omega, config.ancilla.omega_a)
     ledger = ThermoLedger(beta=config.ancilla.beta)
     # the functionals carry the config's stack axes, not the time axis
     ledger.record(w=expectation(k_w[..., None, :], before),
@@ -123,10 +124,10 @@ def collision_map_superoperator(u: np.ndarray, r_a: np.ndarray) -> np.ndarray:
 
     Returned as the real 4x4 T = [[1, 0], [c, M]] acting on (1, r). Row l
     of (c, M) is the affine functional of the Heisenberg-evolved system
-    Pauli, r'_l = Tr[U^dag (sigma_l (x) I) U (rho (x) rho_a)], the contraction
-    that also gives the ledger and the currents; the first row (trace
-    preservation) is set exactly. Built from the joint unitary u and the
-    ancilla Bloch vector r_a, or stacks of them; n collisions are the n-th
+    Pauli, r'_l = Tr[U^dag (sigma_l (x) I) U (rho (x) rho_a)]; row 3, less
+    (0, 0, 0, 1), is the change of sigma_z (x) I that `run`'s work takes. The first
+    row (trace preservation) is set exactly. Built from the joint unitary u and
+    the ancilla Bloch vector r_a, or stacks of them; n collisions are the n-th
     matrix power. It is the map that `run` applies.
     """
     u = u[..., None, :, :]     # against the stack axis of the three Paulis

@@ -5,7 +5,7 @@ Giovannetti & Palma, Phys. Rep. 954, 1 (2022)) is, with g0 absorbed in J,
     drho/dt = -i[H_S, rho] + Tr_A[V (rho (x) rho_A) V - (1/2){V^2, rho (x) rho_A}]
 for V = sum_lm J_lm sigma_l (x) sigma_m. Its rows dr_l/dt are built as
 those of the collision map: the affine functional of the adjoint generator
-on the system Pauli, L^dag(sigma_l (x) I) (thermo.generator_functional).
+on the system Pauli, L^dag(sigma_l (x) I) (thermo.generator_rows).
 In jump form its rates are gamma_jk = Tr[A_k^dag A_j rho_A] with
 A_j = sum_m J_jm sigma_m, a Gram matrix in a state-weighted inner product:
 Hermitian and PSD, so the generator is a valid GKSL one. Stacked couplings
@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import clamp_to_density, dagger, gram_projection, lift
-from .model import (PAULIS, SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    coupling_operator, density_matrix, free_hamiltonians)
+from .model import PAULIS, SIGMA_S, AncillaPrep, CouplingSpec, QubitHamiltonian, density_matrix
 from .observables import SteadyStateReport, make_report
-from .thermo import generator_functional
+from .thermo import generator_rows
 
 # Two smallest superoperator singular values below this fraction of the total
 # decay rate mark a degenerate (non-unique, initial-state dependent) family.
@@ -63,11 +62,7 @@ def build_generator(coupling: CouplingSpec, hs: QubitHamiltonian,
     square overflows raises ValueError, as in current_evaluators.
     """
     rate_matrix(coupling, ancilla)
-    h0 = free_hamiltonians(hs, ancilla.hamiltonian())[0][..., None, :, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # against the stack axis of the three Paulis
-        v = coupling_operator(coupling.j)[..., None, :, :]
-        rows = generator_functional(v, h0, SIGMA_S, ancilla.state[..., None, :])
+    rows = generator_rows(coupling, hs, ancilla, SIGMA_S)
     if not np.isfinite(rows).all():
         raise ValueError("generator is not finite (coupling overflow)")
     return np.concatenate([np.zeros_like(rows[..., :1, :]), rows], axis=-2)

@@ -173,11 +173,10 @@ def build_interaction(spec: CouplingSpec) -> np.ndarray:
         return coupling_operator(spec.j) * scale[..., None, None]
 
 
-def free_hamiltonians(hs: QubitHamiltonian, ha: QubitHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """H_0 = H_S (x) I + I (x) H_A and I (x) H_A, whose changes in one
-    collision are the switching work and the heat (U conserves H_0 + H_SA)."""
-    h_a = np.asarray(ha.omega)[..., None, None] / 2 * SZ_A
-    return np.asarray(hs.omega)[..., None, None] / 2 * SZ_S + h_a, h_a
+def free_hamiltonian(hs: QubitHamiltonian, ha: QubitHamiltonian) -> np.ndarray:
+    """H_0 = H_S (x) I + I (x) H_A; U conserves H_0 + H_SA."""
+    return (np.asarray(hs.omega)[..., None, None] / 2 * SZ_S
+            + np.asarray(ha.omega)[..., None, None] / 2 * SZ_A)
 
 
 def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
@@ -185,7 +184,7 @@ def collision_unitary(hs: QubitHamiltonian, ha: QubitHamiltonian,
     """Joint propagator exp(-i dt (H_S + H_A + H_SA)) of one collision (or a stack)."""
     if hsa.shape[-2:] != (4, 4):
         raise ValueError("interaction must act on the 4-dimensional joint space")
-    h = free_hamiltonians(hs, ha)[0] + hsa
+    h = free_hamiltonian(hs, ha) + hsa
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("collision Hamiltonian is not finite (coupling overflow)")
     return exp_minus_i(h, dt)

@@ -7,7 +7,10 @@ Sign conventions (fixed once, used everywhere):
     is also the decrease of the interaction energy, H_SA - U^dag H_SA U.
   * Q(dt) = Tr[(U^dag H_A U - H_A) rho_S (x) rho_A] is the energy gained by
     the ancilla; positive when heat is dumped into the environment.
-  * First law: dE_S = W - Q, exact for every unitary collision.
+  * Both are built from the changes dz_S, dz_A of sigma_z (x) I and I (x) sigma_z
+    (energy_functionals): Q = (omega_a/2) dz_A and W = (omega_s/2) dz_S + Q.
+  * First law: dE_S = W - Q, exact for every unitary collision; with W built
+    so, it is an identity of the functionals.
   * dS = S(after) - S(before); entropy production Sigma = dS + beta * Q. It
     equals D(rho_SA' || rho_S' (x) rho_A^th) and I(S:A)' + D(rho_A' || rho_A^th)
     (Esposito et al., NJP 12, 013013 (2010)), the forms the tests check.
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, kron
-from .model import (PAULI4, AncillaPrep, CouplingSpec, QubitHamiltonian,
-                    coupling_operator, density_matrix, free_hamiltonians)
+from .linalg import kron
+from .model import (PAULI4, SZ_A, SZ_S, AncillaPrep, CouplingSpec, QubitHamiltonian,
+                    coupling_operator, density_matrix, free_hamiltonian)
 
 # At beta = +-inf a heat below this is round-off and counts as zero.
 INF_BETA_HEAT_TOL = 1e-14
@@ -70,28 +73,30 @@ def expectation(k: np.ndarray, r: np.ndarray) -> np.ndarray:
     return k[..., 0] + np.einsum("...i,...i->...", k[..., 1:], r)
 
 
-def change_functional(u: np.ndarray, x: np.ndarray, r_a: np.ndarray) -> np.ndarray:
-    """Functional of the change of the joint observable x in one collision, U^dag X U - X.
+def energy_functionals(dz: np.ndarray, dz_a: np.ndarray, omega_s, omega_a) -> tuple:
+    """The work and heat functionals (W, Q) from those of the changes of sigma_z (x) I
+    and I (x) sigma_z, per collision or as rates: Q = (omega_a/2) dz_a and
+    W = (omega_s/2) dz + Q, since H_0 = (omega_s/2) sigma_z (x) I + (omega_a/2) I (x) sigma_z."""
+    q = np.asarray(omega_a)[..., None] / 2 * dz_a
+    return np.asarray(omega_s)[..., None] / 2 * dz + q, q
 
-    Of H_0 it is the switching work, of I (x) H_A the heat (free_hamiltonians).
+
+def generator_rows(coupling: CouplingSpec, hs: QubitHamiltonian, ancilla: AncillaPrep,
+                   x: np.ndarray) -> np.ndarray:
+    """Functionals of L^dag(X) = i[H_0, X] + V X V - (1/2){V^2, X}, the continuum twin of
+    U^dag X U - X, for the g0-level coupling operator V and a stack x of joint observables
+    (axis -3), against which the config's stack axes lead. An overflowing coupling gives
+    entries that are not finite, and no warning: the callers raise.
     """
-    return affine_functional(dagger(u) @ x @ u - x, r_a)
-
-
-def generator_functional(v: np.ndarray, h0: np.ndarray, x: np.ndarray,
-                         r_a: np.ndarray) -> np.ndarray:
-    """Functional of L^dag(X) = i[H_0, X] + V X V - (1/2){V^2, X}, the continuum
-    twin of change_functional, for the g0-level coupling operator V.
-
-    Of the system Paulis it gives the generator's rows, of H_0 and I (x) H_A
-    the work and heat currents (there i[H_0, X] vanishes exactly).
-    """
-    # The first-order term i[V, X]/sqrt(dt) of one collision is left out
-    # (ROADMAP item 2). Over the ancilla it is the field sum_l (J r_A)_l sigma_l,
-    # zero only when J has no sigma_z column or beta omega_a = 0.
-    v2 = v @ v
-    return affine_functional(1j * (h0 @ x - x @ h0) + v @ x @ v - 0.5 * (v2 @ x + x @ v2),
-                             r_a)
+    h0 = free_hamiltonian(hs, ancilla.hamiltonian())[..., None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = coupling_operator(coupling.j)[..., None, :, :]
+        # The first-order term i[V, X]/sqrt(dt) of one collision is left out
+        # (ROADMAP item 2). Over the ancilla it is the field sum_l (J r_A)_l sigma_l,
+        # zero only when J has no sigma_z column or beta omega_a = 0.
+        v2 = v @ v
+        return affine_functional(1j * (h0 @ x - x @ h0) + v @ x @ v - 0.5 * (v2 @ x + x @ v2),
+                                 ancilla.state[..., None, :])
 
 
 def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
@@ -99,15 +104,14 @@ def current_evaluators(coupling: CouplingSpec, hs: QubitHamiltonian,
     """Continuous-limit (work, heat) currents as a function of the system state.
 
     Returns f(r) -> (w_dot, q_dot) for one Bloch vector or a stack of them
-    (g0-level J units): the functionals of L^dag(H_0) and L^dag(I (x) H_A)
-    (generator_functional), built once with the stack axes of the config,
-    against which r broadcasts. A coupling whose square overflows raises
-    ValueError, as the rate matrix of the same coupling does.
+    (g0-level J units): energy_functionals of the generator_rows of
+    sigma_z (x) I and I (x) sigma_z (where i[H_0, X] vanishes), built once with
+    the stack axes of the config, against which r broadcasts. A coupling whose
+    square overflows raises ValueError, as the rate matrix of the same coupling does.
     """
-    h0, ha = free_hamiltonians(hs, ancilla.hamiltonian())
+    rows = generator_rows(coupling, hs, ancilla, np.array([SZ_S, SZ_A]))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = coupling_operator(coupling.j)
-        k_w, k_q = (generator_functional(v, h0, x, ancilla.state) for x in (h0, ha))
+        k_w, k_q = energy_functionals(rows[..., 0, :], rows[..., 1, :], hs.omega, ancilla.omega_a)
     if not (np.isfinite(k_w).all() and np.isfinite(k_q).all()):
         raise ValueError("current kernels are not finite (coupling overflow)")
 

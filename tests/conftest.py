@@ -9,8 +9,9 @@ import scipy.linalg
 
 from collisim.cli import cmd_ergotropy_surface, cmd_fig3, cmd_fig5
 from collisim.linalg import clamp_to_density, dagger, kron
-from collisim.model import PAULI4, SscAngles, density_matrix, free_hamiltonians, gibbs_state
-from collisim.thermo import affine_functional, change_functional, entropy_production, expectation
+from collisim.engine import collision_map_superoperator
+from collisim.model import PAULI4, SZ_A, SscAngles, density_matrix, gibbs_state
+from collisim.thermo import affine_functional, energy_functionals, entropy_production, expectation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -61,9 +62,12 @@ def random_bloch(rng: np.random.Generator) -> np.ndarray:
 
 
 def work_heat(u: np.ndarray, hs, ha, r_a: np.ndarray, r: np.ndarray) -> tuple:
-    """The library's switching work and heat of one collision from the state r:
-    the changes of H_0 and of I (x) H_A."""
-    return tuple(expectation(change_functional(u, x, r_a), r) for x in free_hamiltonians(hs, ha))
+    """The library's switching work and heat of one collision from the state r, as
+    engine.run builds them: from the change of sigma_z (x) I, row 3 of the collision
+    map less (0, 0, 0, 1), and that of I (x) sigma_z, contracted after subtracting."""
+    dz = collision_map_superoperator(u, r_a)[..., 3, :] - (0, 0, 0, 1)
+    dz_a = affine_functional(dagger(u) @ SZ_A @ u - SZ_A, r_a)
+    return tuple(expectation(k, r) for k in energy_functionals(dz, dz_a, hs.omega, ha.omega))
 
 
 # ----------------------------------------------------------------------------

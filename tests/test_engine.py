@@ -14,12 +14,10 @@ from collisim.engine import (CollisionConfig, NoSteadyStateError,
 from collisim.linalg import NotAStateError, check_density, kron, trace_distance
 from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                             bloch_state, build_interaction, density_matrix,
-                            diagonal_coupling, free_hamiltonians, gibbs_state, pure_state,
-                            ssc_coupling)
-from collisim.thermo import change_functional, expectation
+                            diagonal_coupling, gibbs_state, pure_state, ssc_coupling)
 
 from conftest import (apply_map, bloch_vector, collide_once, eigen_trace_distance, entropy,
-                      matrices_close, random_density, reference)
+                      matrices_close, random_density, reference, work_heat)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -301,8 +299,6 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
     rho_a = density_matrix(r_a)
     h_sa, h_a, h_s = (build_interaction(cfg.coupling), cfg.ancilla.hamiltonian().matrix(),
                       cfg.hs.matrix())
-    k_w, k_q = (change_functional(u, x, r_a)
-                for x in free_hamiltonians(cfg.hs, cfg.ancilla.hamiltonian()))
     led = traj.ledger
     rho = density_matrix(cfg.rho0)
     for k in range(n):
@@ -311,8 +307,9 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
         # the functionals against the joint-state traces they stand for
         w = np.trace((h_sa - u.conj().T @ h_sa @ u) @ kron(rho, rho_a)).real
         q = np.trace(kron(np.eye(2), h_a) @ (joint - kron(rho, rho_a))).real
-        assert expectation(k_w, bloch_vector(rho)) == pytest.approx(w, abs=1e-12)
-        assert expectation(k_q, bloch_vector(rho)) == pytest.approx(q, abs=1e-12)
+        w_lib, q_lib = work_heat(u, cfg.hs, cfg.ancilla.hamiltonian(), r_a, bloch_vector(rho))
+        assert w_lib == pytest.approx(w, abs=1e-12)
+        assert q_lib == pytest.approx(q, abs=1e-12)
         assert led.w[k] == pytest.approx(w, abs=1e-12)
         assert led.q[k] == pytest.approx(q, abs=1e-12)
         assert led.de_s[k] == pytest.approx(np.trace(h_s @ (nxt - rho)).real, abs=1e-12)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collisim.config import parse_run_config
 from collisim.engine import CollisionConfig, run
 from collisim.linalg import kron
-from collisim.model import (I2, AncillaPrep, CouplingSpec,
+from collisim.model import (I2, PAULIS, AncillaPrep, CouplingSpec,
                             QubitHamiltonian, bloch_state, build_interaction,
                             collision_unitary, density_matrix, diagonal_coupling,
                             gibbs_state, pure_state)
@@ -163,6 +165,30 @@ def test_work_current_equals_double_commutator_form():
         expected = -0.5 * np.trace(dbl @ joint).real
         assert current_evaluators(coupling, hs, anc)(bloch_vector(rho))[0] == pytest.approx(
             expected, abs=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(j=st.lists(st.floats(-1.5, 1.5), min_size=36, max_size=36),
+       beta=st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])),
+       omega_s=st.floats(-2.0, 2.0), omega_a=st.floats(0.2, 2.0),
+       bloch=st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+def test_both_currents_equal_double_commutator_forms(j, beta, omega_s, omega_a, bloch):
+    # a stack of four J (sigma_z columns included) against -(1/2) Tr[[V,[V,X]] rho (x) rho_A]
+    # for X = H_0 (work) and X = I (x) H_A (heat), with V and X built here from the Paulis
+    j = np.reshape(j, (4, 3, 3))
+    r = np.reshape(bloch, (4, 3))
+    r = r / np.maximum(1.0, np.linalg.norm(r, axis=-1, keepdims=True))
+    anc, hs = AncillaPrep(beta=beta, omega_a=omega_a), QubitHamiltonian(omega_s)
+    w_dot, q_dot = current_evaluators(CouplingSpec(j, dt=0.05), hs, anc)(r)
+    h_a = kron(I2, omega_a / 2 * PAULIS[2])
+    h0 = kron(omega_s / 2 * PAULIS[2], I2) + h_a
+    for k in range(4):
+        v = sum(j[k, a, b] * kron(PAULIS[a], PAULIS[b]) for a in range(3) for b in range(3))
+        joint = kron(density_matrix(r[k]), density_matrix(anc.state))
+        for x, current in ((h0, w_dot), (h_a, q_dot)):
+            inner = v @ x - x @ v
+            expected = -0.5 * np.trace((v @ inner - inner @ v) @ joint).real
+            assert current[k] == pytest.approx(expected, abs=1e-11)
 
 
 def test_current_evaluators_match_single_shot_functions():
