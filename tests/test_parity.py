@@ -103,7 +103,8 @@ def test_dispatch_off_disables_every_dispatched_feature():
 
 
 def test_corpus_covers_the_workloads_and_the_edge_cases():
-    names = [case["name"] for case in parity.corpus()]
+    cases = parity.corpus()
+    names = [case["name"] for case in cases]
     assert len(names) == len(set(names))
     for prefix in ("trajectory-s3-7", "sweep-s2", "steady-s1-199", "fig3", "fig5",
                    "ergotropy-surface", "sweep-n-axis-failing-json", "beta-minus-inf-steady",
@@ -113,5 +114,5 @@ def test_corpus_covers_the_workloads_and_the_edge_cases():
                    "omega-a-1.9-ssc-steady", "sweep-omega-a"):
         assert prefix in names
     # the trajectory ops keep their --format flags, as the benchmark passes them
-    assert sum("--format" in case["argv"] for case in parity.corpus()
-               if case["name"].startswith("trajectory-")) == 6
+    assert sum("--format" in case["argv"] for case in cases
+               if case["name"].startswith("trajectory-")) == 2 * 3

@@ -4,7 +4,7 @@
     python tools/parity.py --parent HEAD~1            # committed change
     python tools/parity.py --dispatch-off             # numpy's SIMD dispatch on and off
 
-Runs one fixed corpus of CLI commands (CORPUS_NOTES) through `collisim.cli.main`
+Runs one fixed corpus of CLI commands (`corpus`) through `collisim.cli.main`
 on two trees, each in its own process: the parent's committed files (exported
 with `git archive` into a temporary directory) and the working tree, or with
 --dispatch-off the working tree twice, the second time with
@@ -17,6 +17,13 @@ document by the path of each leaf) and each column reports its largest
 column moves beyond --tol, or if anything else differs: an exit code, a
 message, a file's presence, a table's shape or a cell that is not a number
 on both sides.
+
+The corpus: the seed 1-3 ops of the four workloads in perfbench/inputs.py with
+their extra CLI arguments; a sweep with a run.n_collisions axis and a failing
+point, in CSV and JSON; README's edge cases (beta = +-inf, omega_s = 0,
+j.xx = 1e154 and 1e200, n_collisions = 10**15, an --out that is a file or
+under one); a weak-coupling ladder g = 1e-2 ... 1e-8; sigma_z-column
+couplings; omega_a = 0.7 and 1.9, where the heat functional has its own scale.
 """
 
 from __future__ import annotations
@@ -44,14 +51,6 @@ TOL = 1e-11
 # Problems listed in the summary; the rest are counted.
 MAX_PROBLEMS = 40
 
-CORPUS_NOTES = """\
-the seed 1-3 ops of the four workloads in perfbench/inputs.py, with their extra CLI arguments;
-a sweep with a run.n_collisions axis and a failing point, in CSV and JSON;
-README's edge cases (beta = +-inf, omega_s = 0, j.xx = 1e154 and 1e200,
-n_collisions = 10**15, an --out that is a file or under one);
-a weak-coupling ladder g = 1e-2 ... 1e-8; sigma_z-column couplings; omega_a = 0.7 and 1.9"""
-
-
 def _inputs():
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", os.path.join(ROOT, "perfbench", "inputs.py"))
@@ -77,7 +76,8 @@ def _case(name: str, argv: list[str], config: dict | None = None, **files: str) 
 
 
 def _run_and_steady(name: str, doc: dict) -> list[dict]:
-    return [_case(f"{name}-run-csv", ["run"], doc), _case(f"{name}-run-json", ["run"], doc,),
+    return [_case(f"{name}-run-csv", ["run"], doc),
+            _case(f"{name}-run-json", ["run", "--format", "json"], doc),
             _case(f"{name}-steady", ["steady", "--method", "both"], doc)]
 
 
@@ -125,10 +125,6 @@ def corpus() -> list[dict]:
              "axes": [{"path": "model.omega_a", "values": [0.7, 1.0, 1.9]},
                       {"path": "model.beta", "values": [0.5, 2.0]}]}
     cases.append(_case("sweep-omega-a", ["sweep"], sweep))
-    # a --format json twin of each run whose name asks for one
-    for case in cases:
-        if case["name"].endswith("-run-json"):
-            case["argv"] += ["--format", "json"]
     return cases
 
 
@@ -152,7 +148,9 @@ def work(cases_file: str, dest: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(case["argv"])
-            except BaseException:      # noqa: BLE001 - a crash is an outcome to compare
+            except SystemExit as exc:     # argparse's usage errors
+                code = exc.code
+            except Exception:  # noqa: BLE001 - a crash is an outcome to compare
                 code = "raised"
                 traceback.print_exc()
         results[case["name"]] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -221,11 +219,10 @@ def compare_file(a_path: str, b_path: str) -> tuple[dict, list[str]]:
             if x == y:
                 continue
             fx, fy = _number(x), _number(y)
-            if fx is None or fy is None or not (math.isfinite(fx) and math.isfinite(fy)):
-                if fx is None or fy is None or not (fx == fy or math.isnan(fx) and math.isnan(fy)):
-                    problems.append(f"{name} row {row}: {x!r} against {y!r}")
-                continue
-            worst = max(worst, (abs(fx - fy) / max(1.0, abs(fy)), row))
+            if fx is not None and fy is not None and math.isfinite(fx) and math.isfinite(fy):
+                worst = max(worst, (abs(fx - fy) / max(1.0, abs(fy)), row))
+            elif fx is None or fy is None or not (fx == fy or math.isnan(fx) and math.isnan(fy)):
+                problems.append(f"{name} row {row}: {x!r} against {y!r}")
         moved[name] = worst
     return moved, problems
 
@@ -311,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tol", type=float, default=TOL)
     args = parser.parse_args(argv)
     src = os.path.join(ROOT, "src")
-    print(f"corpus: {CORPUS_NOTES}", flush=True)
     if args.dispatch_off:
         env = dispatch_off_env()
         print(f"NPY_DISABLE_CPU_FEATURES={env['NPY_DISABLE_CPU_FEATURES']}", flush=True)
