@@ -84,9 +84,9 @@ def energy_functionals(dz: np.ndarray, dz_a: np.ndarray, omega_s, omega_a) -> tu
 def generator_rows(coupling: CouplingSpec, hs: QubitHamiltonian, ancilla: AncillaPrep,
                    x: np.ndarray) -> np.ndarray:
     """Functionals of L^dag(X) = i[H_0, X] + V X V - (1/2){V^2, X}, the continuum twin of
-    U^dag X U - X, for the g0-level coupling operator V and a stack x of joint observables
-    (axis -3), against which the config's stack axes lead. An overflowing coupling gives
-    entries that are not finite, and no warning: the callers raise.
+    U^dag X U - X, for the g0-level coupling operator V and each of a stack x of joint
+    observables: shape (..., len(x), 4), the config's stack axes leading. An overflowing
+    coupling gives entries that are not finite, and no warning: the callers raise.
     """
     h0 = free_hamiltonian(hs, ancilla.hamiltonian())[..., None, :, :]
     with np.errstate(over="ignore", invalid="ignore"):
