@@ -2,9 +2,12 @@
 
 The joint unitary and the ancilla state fix one collision map, the same at
 every collision: on Bloch vectors it is the real affine map r -> M r + c.
-A trajectory is the stack of its iterates, and the ledger is evaluated on
-that stack. A stack of configurations runs as one stack of trajectories,
-and a single configuration is a stack of one.
+A trajectory is the stack of its iterates, built by doubling: the states
+2^k .. 2^(k+1) - 1 are T^(2^k) applied to the states 0 .. 2^k - 1, so n
+collisions take ceil(log2(n + 1)) stacked matmuls and no loop over
+collisions. The ledger is evaluated on that stack. A stack of
+configurations runs as one stack of trajectories, and a single
+configuration is a stack of one.
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ class Trajectory:
 def run(config: CollisionConfig) -> Trajectory:
     """Propagate rho0 through n_collisions applications of the map, with the ledger.
 
+    The iterates are built by doubling: with p = T^m, one stacked matmul fills
+    the states m .. 2m - 1 from the states 0 .. m - 1, then p becomes T^(2m).
     A stacked config (any of its model scalars, J or rho0 with stack axes)
     runs as one stack of trajectories: states (..., n + 1, 3) and ledger arrays
     (..., n). The states are checked once, as a stack, and never repaired:
@@ -96,11 +101,16 @@ def run(config: CollisionConfig) -> Trajectory:
     u = config.unitary()
     r_a = config.ancilla.state
     t = collision_map_superoperator(u, r_a)
-    batch = np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1])
-    lifted = np.empty(batch + (config.n_collisions + 1, 4))
+    n, batch = config.n_collisions, np.broadcast_shapes(t.shape[:-2], config.rho0.shape[:-1])
+    lifted = np.empty(batch + (n + 1, 4))
     lifted[..., 0, :] = lift(config.rho0)
-    for n in range(config.n_collisions):
-        np.matmul(t, lifted[..., n, :, None], out=lifted[..., n + 1, :, None])
+    p, m = t, 1
+    while m <= n:
+        k = min(m, n + 1 - m)
+        np.matmul(lifted[..., :k, :], p.swapaxes(-1, -2), out=lifted[..., m:m + k, :])
+        m *= 2
+        if m <= n:      # the last power is never used
+            p = p @ p
     states = lifted[..., 1:]
 
     entropies = bloch_entropy(check_density(states, "trajectory state"))
@@ -141,9 +151,10 @@ def collision_map_superoperator(u: np.ndarray, r_a: np.ndarray) -> np.ndarray:
 def propagate_collisions(config: CollisionConfig) -> np.ndarray:
     """State after config.n_collisions collisions via the matrix power of the collision map.
 
-    Identical (to round-off) to running the loop, without the per-step
-    ledger; used by figure grids, where only the final states matter: a
-    stacked config gives the stack of final states in one matrix power.
+    Identical (to round-off) to the last state of `run`, without the other
+    states or the ledger; used by figure grids, where only the final states
+    matter: a stacked config gives the stack of final states in one matrix
+    power.
     """
     t = collision_map_superoperator(config.unitary(), config.ancilla.state)
     out = np.linalg.matrix_power(t, config.n_collisions) @ lift(config.rho0)[..., None]

@@ -17,7 +17,7 @@ from collisim.model import (AncillaPrep, CouplingSpec, QubitHamiltonian,
                             diagonal_coupling, gibbs_state, pure_state, ssc_coupling)
 
 from conftest import (apply_map, bloch_vector, collide_once, eigen_trace_distance, entropy,
-                      matrices_close, random_density, reference, work_heat)
+                      matrices_close, random_bloch, random_density, reference, work_heat)
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -316,6 +316,42 @@ def test_run_matches_stepping_collide_once(j, beta, dt, omegas, bloch, n):
         assert led.ds[k] == pytest.approx(entropy(nxt) - entropy(rho), abs=1e-12)
         rho = nxt
     assert np.max(np.abs(led.first_law_residuals())) <= 1e-12
+
+
+# the edges of the doubling's blocks, rows 2^k .. 2^(k+1) - 1, and one long run
+DOUBLING_EDGES = sorted({1, 2, 3, 10 ** 4}
+                        | {2 ** k + d for k in range(1, 13) for d in (-1, 0, 1)})
+
+
+def _stack(x, p):
+    return st.lists(x, min_size=p, max_size=p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=st.integers(1, 3).flatmap(lambda p: st.tuples(
+           _stack(st.lists(st.floats(-1.5, 1.5), min_size=9, max_size=9), p),
+           _stack(st.one_of(st.floats(-5.0, 5.0), st.sampled_from([math.inf, -math.inf])), p),
+           _stack(st.floats(-2.0, 2.0), p), _stack(st.floats(0.2, 2.0), p),
+           _stack(st.floats(1e-3, 0.3), p))),
+       n=st.sampled_from(DOUBLING_EDGES), seed=st.integers(0, 2 ** 16))
+def test_long_runs_match_stepping_the_map(stack, n, seed):
+    # a stack of points (J with sigma_z columns) against two initial states, which
+    # broadcast to a (2, points) stack of trajectories, against T applied n times
+    j, beta, omega_s, omega_a, dt = map(np.array, stack)
+    rng = np.random.default_rng(seed)
+    rho0 = np.array([[random_bloch(rng)], [random_bloch(rng)]])
+    cfg = CollisionConfig(
+        hs=QubitHamiltonian(omega_s), ancilla=AncillaPrep(beta=beta, omega_a=omega_a),
+        coupling=CouplingSpec(j.reshape(-1, 3, 3), dt=dt), n_collisions=n, rho0=rho0)
+    states = run(cfg).states
+    assert states.shape == (2, len(beta), n + 1, 3)
+    first = np.broadcast_to(rho0, states.shape[:-2] + (3,))
+    assert states[..., 0, :].tobytes() == first.tobytes()
+    t = collision_map_superoperator(cfg.unitary(), cfg.ancilla.state)
+    steps = [np.concatenate([np.ones(first.shape[:-1] + (1,)), first], axis=-1)]
+    for _ in range(n):
+        steps.append((t @ steps[-1][..., None])[..., 0])
+    assert np.max(np.abs(states - np.stack(steps, axis=-2)[..., 1:])) <= 1e-13
 
 
 def test_run_rejects_a_map_that_leaves_the_state_space(monkeypatch):
